@@ -149,7 +149,7 @@ def _write_text(text: str, out_path: str):
 def cmd_sweep(args) -> int:
     config = RunConfig.load(args)
     kind = inequalities.KINDS[config.inequality]
-    canonical = geometry.canonical_i26 if kind.tag == "i26" else geometry.canonical_i28
+    canonical = geometry.CANONICAL[kind.tag]
 
     state = tensor = None
     if config.shots > 0:
@@ -218,15 +218,11 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.inequality not in inequalities.KINDS:
-        raise UsageError(f"inequality: unknown kind {args.inequality!r}")
     if args.grid_size < 50:
         raise UsageError(f"grid-size: must be >= 50, got {args.grid_size}")
     if not args.phi:
         raise UsageError("phi: at least one angle required")
-    canonical = (
-        geometry.canonical_i26 if args.inequality == "i26" else geometry.canonical_i28
-    )
+    canonical = geometry.CANONICAL[args.inequality]
     reports = []
     all_pass = True
     for phi_deg in args.phi:
@@ -240,8 +236,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_thresholds(args) -> int:
-    if args.inequality not in inequalities.KINDS:
-        raise UsageError(f"inequality: unknown kind {args.inequality!r}")
     kind = inequalities.KINDS[args.inequality]
     phi_star, max_value = inequalities.max_violation(kind, 1.0)
     payload = {
@@ -295,7 +289,7 @@ def cmd_simulate(args) -> int:
     if config.shots < 1:
         raise UsageError("shots: simulate requires shots >= 1")
     kind = inequalities.KINDS[config.inequality]
-    canonical = geometry.canonical_i26 if kind.tag == "i26" else geometry.canonical_i28
+    canonical = geometry.CANONICAL[kind.tag]
     state = qstate.werner(config.visibility, config.bell)
     tensor = qstate.correlation_tensor(state)
     settings = geometry.adapt_to_state(tensor, canonical(math.radians(args.phi)))
@@ -353,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.set_defaults(func=cmd_verify)
 
     thresholds = subs.add_parser("thresholds", help="visibility/fidelity thresholds")
-    thresholds.add_argument("--inequality", required=True)
+    thresholds.add_argument("--inequality", choices=("i26", "i28"), required=True)
     thresholds.add_argument("--out", default=None)
     thresholds.set_defaults(func=cmd_thresholds)
 

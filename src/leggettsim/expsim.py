@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -29,26 +30,36 @@ class ConditioningError(ValueError):
 
 
 def _check_confusion_2x2(r: np.ndarray, name: str) -> np.ndarray:
-    r = np.asarray(r, dtype=float)
+    r = np.array(r, dtype=float)
     if r.shape != (2, 2):
         raise ValueError(f"{name} must be 2x2, got shape {r.shape}")
     if np.any(r < 0.0) or np.any(r > 1.0):
         raise ValueError(f"{name} entries must lie in [0, 1]")
     if np.max(np.abs(r.sum(axis=0) - 1.0)) > 1e-12:
         raise ValueError(f"{name} columns must sum to 1")
+    r.setflags(write=False)
     return r
 
 
 @dataclass(frozen=True)
 class ReadoutModel:
-    """Per-qubit confusion matrices; column j is P(reported | true = j)."""
+    """Per-qubit confusion matrices; column j is P(reported | true = j).
+
+    ``r_a`` and ``r_b`` are read-only copies, so the joint matrix and its
+    condition number, each computed once, cannot go stale.
+    """
 
     r_a: np.ndarray
     r_b: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "r_a", _check_confusion_2x2(self.r_a, "r_a"))
-        object.__setattr__(self, "r_b", _check_confusion_2x2(self.r_b, "r_b"))
+        r_a = _check_confusion_2x2(self.r_a, "r_a")
+        r_b = _check_confusion_2x2(self.r_b, "r_b")
+        joint = np.kron(r_a, r_b)
+        joint.setflags(write=False)
+        object.__setattr__(self, "r_a", r_a)
+        object.__setattr__(self, "r_b", r_b)
+        object.__setattr__(self, "_joint", joint)
 
     @classmethod
     def from_fidelities(cls, f0_a: float, f1_a: float, f0_b: float, f1_b: float):
@@ -63,7 +74,13 @@ class ReadoutModel:
 
     def joint(self) -> np.ndarray:
         """4x4 confusion over outcomes ordered (++, +-, -+, --)."""
-        return np.kron(self.r_a, self.r_b)
+        return self._joint
+
+    @cached_property
+    def _condition_number(self) -> float:
+        # computed on the first correction only: a model never used to
+        # correct never raises ConditioningError
+        return float(np.linalg.cond(self._joint))
 
 
 def apply_confusion(model: ReadoutModel, p) -> np.ndarray:
@@ -87,7 +104,7 @@ def _correct_readout(model: ReadoutModel, p_measured):
     if p_measured.shape != (4,):
         raise ValueError(f"expected 4 probabilities, got shape {p_measured.shape}")
     r = model.joint()
-    cond = np.linalg.cond(r)
+    cond = model._condition_number
     if not np.isfinite(cond) or cond > MAX_CONDITION_NUMBER:
         raise ConditioningError(
             f"confusion matrix condition number {cond:.3g} exceeds {MAX_CONDITION_NUMBER:.0e}"

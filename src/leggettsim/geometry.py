@@ -149,6 +149,10 @@ def canonical_i28(phi: float) -> SettingsConfig:
     return SettingsConfig(alice=(u12, u34), pairs=pairs, pairing=(0, 0, 1, 1), kind="i28")
 
 
+# inequality tag -> builder of its canonical configuration at half-angle phi
+CANONICAL = {"i26": canonical_i26, "i28": canonical_i28}
+
+
 def adapt_to_state(tensor: CorrelationTensor, config: SettingsConfig) -> SettingsConfig:
     """Replace each Alice vector by the direction maximizing |n . (T u)|.
 

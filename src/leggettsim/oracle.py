@@ -21,8 +21,6 @@ from .geometry import SettingPair, SettingsConfig, fibonacci_sphere
 from .inequalities import KINDS
 from .qstate import _check_unit
 
-_BOUND_SLACK = 1e-12
-
 
 @dataclass(frozen=True)
 class LeggettEnsemblePoint:
@@ -93,10 +91,7 @@ def pair_term_max(point: LeggettEnsemblePoint, pair: SettingPair, n) -> float:
     _, m_b_prime = point.marginals(n, pair.m_prime)
     iv = correlation_interval(m_a, m_b)
     iv_prime = correlation_interval(m_a, m_b_prime)
-    result = max(iv.hi + iv_prime.hi, -(iv.lo + iv_prime.lo))
-    analytic = 2.0 - abs(float(point.v @ (pair.m - pair.m_prime)))
-    assert result <= analytic + _BOUND_SLACK
-    return result
+    return max(iv.hi + iv_prime.hi, -(iv.lo + iv_prime.lo))
 
 
 def _pair_term_max_grid(m_a, m_b, m_b_prime):

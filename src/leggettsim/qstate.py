@@ -39,12 +39,16 @@ class InvalidStateError(ValueError):
 
 @dataclass(frozen=True)
 class TwoQubitState:
-    """A 4x4 density matrix; validated to be Hermitian, unit-trace, PSD."""
+    """A 4x4 density matrix; validated to be Hermitian, unit-trace, PSD.
+
+    The matrix is a read-only copy of the one passed in, so the correlation
+    tensor that ``correlation_tensor`` stores on the state cannot go stale.
+    """
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        m = np.array(self.matrix, dtype=complex)
         if m.shape != (4, 4):
             raise InvalidStateError(f"expected 4x4 matrix, got shape {m.shape}")
         if np.max(np.abs(m - m.conj().T)) > HERMITIAN_TOL:
@@ -53,6 +57,7 @@ class TwoQubitState:
             raise InvalidStateError("trace differs from 1 by more than 1e-12")
         if np.linalg.eigvalsh(m).min() < -PSD_TOL:
             raise InvalidStateError("matrix has an eigenvalue below -1e-10")
+        m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
     def to_json_dict(self) -> dict:
@@ -71,16 +76,17 @@ class TwoQubitState:
 
 @dataclass(frozen=True)
 class CorrelationTensor:
-    """Pauli correlation matrix T plus marginal Bloch vectors a, b."""
+    """Pauli correlation matrix T plus marginal Bloch vectors a, b (read-only copies)."""
 
     t: np.ndarray
     a: np.ndarray
     b: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "t", np.asarray(self.t, dtype=float))
-        object.__setattr__(self, "a", np.asarray(self.a, dtype=float))
-        object.__setattr__(self, "b", np.asarray(self.b, dtype=float))
+        for name in ("t", "a", "b"):
+            v = np.array(getattr(self, name), dtype=float)
+            v.setflags(write=False)
+            object.__setattr__(self, name, v)
 
 
 def bell_state(kind: str) -> TwoQubitState:
@@ -118,7 +124,11 @@ def overlap_fidelity(visibility: float) -> float:
 
 
 def correlation_tensor(state: TwoQubitState) -> CorrelationTensor:
-    """T_jk = Tr[rho (sigma_j x sigma_k)] plus the marginal Bloch vectors."""
+    """T_jk = Tr[rho (sigma_j x sigma_k)] plus the marginal Bloch vectors.
+
+    Always builds; the result is also stored on the state, where
+    ``joint_probabilities`` and ``correlation`` read it.
+    """
     rho = state.matrix
     t = np.empty((3, 3))
     a = np.empty(3)
@@ -128,7 +138,15 @@ def correlation_tensor(state: TwoQubitState) -> CorrelationTensor:
         b[j] = _real_trace(rho @ np.kron(IDENTITY_2, sj))
         for k, sk in enumerate(PAULI):
             t[j, k] = _real_trace(rho @ np.kron(sj, sk))
-    return CorrelationTensor(t=t, a=a, b=b)
+    tensor = CorrelationTensor(t=t, a=a, b=b)
+    object.__setattr__(state, "_tensor", tensor)
+    return tensor
+
+
+def _stored_tensor(state: TwoQubitState) -> CorrelationTensor:
+    """The tensor stored on the state, built on first use."""
+    tensor = state.__dict__.get("_tensor")
+    return correlation_tensor(state) if tensor is None else tensor
 
 
 def _real_trace(m: np.ndarray) -> float:
@@ -151,7 +169,7 @@ def correlation(state: TwoQubitState, n, m) -> float:
     """Correlation function n^T T m for settings n (Alice) and m (Bob)."""
     n = _check_unit(n, "n")
     m = _check_unit(m, "m")
-    value = float(n @ correlation_tensor(state).t @ m)
+    value = float(n @ _stored_tensor(state).t @ m)
     return float(np.clip(value, -1.0, 1.0))
 
 
@@ -159,7 +177,7 @@ def joint_probabilities(state: TwoQubitState, n, m) -> np.ndarray:
     """Outcome probabilities P(alpha, beta) in order (++, +-, -+, --)."""
     n = _check_unit(n, "n")
     m = _check_unit(m, "m")
-    tensor = correlation_tensor(state)
+    tensor = _stored_tensor(state)
     an = float(tensor.a @ n)
     bm = float(tensor.b @ m)
     ntm = float(n @ tensor.t @ m)

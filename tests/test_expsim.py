@@ -37,6 +37,23 @@ class TestReadoutModel:
         with pytest.raises(ValueError):
             ReadoutModel(r_a=np.array([[1.2, 0], [-0.2, 1]]), r_b=np.eye(2))
 
+    @pytest.mark.parametrize("name", ["r_a", "r_b"])
+    def test_matrices_read_only(self, name):
+        model = ReadoutModel.from_fidelities(0.97, 0.95, 0.96, 0.94)
+        with pytest.raises(ValueError):
+            getattr(model, name)[0, 0] = 0.5
+        with pytest.raises(ValueError):
+            model.joint()[0, 0] = 0.5
+
+    def test_caller_matrices_not_frozen(self):
+        r_a, r_b = np.eye(2), np.eye(2)
+        ReadoutModel(r_a=r_a, r_b=r_b)
+        assert r_a.flags.writeable and r_b.flags.writeable
+
+    def test_joint_is_kron(self):
+        model = ReadoutModel.from_fidelities(0.97, 0.95, 0.96, 0.94)
+        assert model.joint().tobytes() == np.kron(model.r_a, model.r_b).tobytes()
+
 
 class TestConfusion:
     def test_identity_passthrough(self):
@@ -211,6 +228,40 @@ class TestRunExperiment:
         rows = result.counts_csv_rows()
         assert len(rows) == 6
         assert sum(rows[0][3:]) == 1000
+
+    def test_ill_conditioned_model_without_correction(self):
+        state = werner(0.9)
+        model = ReadoutModel.from_fidelities(0.5, 0.5, 0.5, 0.5)
+        result = run_experiment(
+            state, adapted_config(state), I26, 1000, seed=3, readout=model
+        )
+        assert result.corrected is None
+        assert len(result.settings) == 6
+
+    def test_ill_conditioned_model_with_correction(self):
+        state = werner(0.9)
+        model = ReadoutModel.from_fidelities(0.5, 0.5, 0.5, 0.5)
+        with pytest.raises(ConditioningError):
+            run_experiment(
+                state, adapted_config(state), I26, 1000, seed=3, readout=model, correct=True
+            )
+
+    def test_condition_checked_once_per_model(self, monkeypatch):
+        calls = []
+        cond = np.linalg.cond
+
+        def counting(r):
+            calls.append(r)
+            return cond(r)
+
+        monkeypatch.setattr(np.linalg, "cond", counting)
+        state = werner(0.9)
+        model = ReadoutModel.from_fidelities(0.97, 0.95, 0.96, 0.94)
+        for seed in range(3):
+            run_experiment(
+                state, adapted_config(state), I26, 1000, seed=seed, readout=model, correct=True
+            )
+        assert len(calls) == 1
 
     def test_wrong_pair_count(self):
         state = werner(0.9)

@@ -85,6 +85,22 @@ class TestPairTermMax:
         value = pair_term_max(point, pair, n)
         assert value <= 2.0 - abs(float(v @ (pair.m - pair.m_prime))) + 1e-12
 
+    @given(
+        unit_vectors(), unit_vectors(), unit_vectors(), unit_vectors(), unit_vectors(),
+        st.floats(0.0, math.pi),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_never_exceeds_analytic_bound(self, u, v, n, bisector, other, phi):
+        # a random pair, independent of the hidden-variable point
+        e_hat = np.cross(bisector, other)
+        if np.linalg.norm(e_hat) < 1e-3:
+            e_hat = np.cross(bisector, X if abs(bisector @ X) < 0.9 else Y)
+        e_hat /= np.linalg.norm(e_hat)
+        pair = make_pair(bisector, e_hat, phi)
+        point = LeggettEnsemblePoint(u=u, v=v)
+        value = pair_term_max(point, pair, n)
+        assert value <= 2.0 - abs(float(point.v @ (pair.m - pair.m_prime))) + 1e-12
+
 
 class TestOracleMax:
     def test_phi_zero_saturates(self):

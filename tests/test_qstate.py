@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import unit_vectors
+from leggettsim import qstate
 from leggettsim.qstate import (
     BELL_KINDS,
+    CorrelationTensor,
     InvalidStateError,
     TwoQubitState,
     amplitude_fidelity,
@@ -194,3 +196,75 @@ class TestStateValidation:
         assert np.allclose(
             TwoQubitState.from_json_dict(data).matrix, state.matrix, atol=1e-15
         )
+
+
+def random_state(rng) -> TwoQubitState:
+    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    rho = a @ a.conj().T
+    return TwoQubitState(rho / np.trace(rho).real)
+
+
+def same_bits(x: CorrelationTensor, y: CorrelationTensor) -> bool:
+    return all(
+        getattr(x, name).tobytes() == getattr(y, name).tobytes() for name in ("t", "a", "b")
+    )
+
+
+class TestTensorCache:
+    @pytest.mark.parametrize("v", [0.0, 0.37, 0.98, 1.0])
+    def test_stored_equals_rebuild_werner(self, v):
+        state = werner(v)
+        joint_probabilities(state, Z, X)
+        stored = qstate._stored_tensor(state)
+        assert same_bits(stored, correlation_tensor(TwoQubitState(state.matrix)))
+
+    def test_stored_equals_rebuild_random(self):
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            state = random_state(rng)
+            correlation(state, X, Y)
+            stored = qstate._stored_tensor(state)
+            assert same_bits(stored, correlation_tensor(TwoQubitState(state.matrix)))
+
+    def test_built_once_per_state(self, monkeypatch):
+        builds = []
+        build = qstate.correlation_tensor
+
+        def counting(state):
+            builds.append(state)
+            return build(state)
+
+        monkeypatch.setattr(qstate, "correlation_tensor", counting)
+        state = werner(0.9)
+        for n, m in ((Z, Z), (X, Y), (Y, Z)):
+            joint_probabilities(state, n, m)
+            correlation(state, n, m)
+        assert builds == [state]
+
+    def test_explicit_build_is_stored(self):
+        state = werner(0.8)
+        tensor = correlation_tensor(state)
+        assert qstate._stored_tensor(state) is tensor
+
+    def test_matrix_read_only(self):
+        state = werner(0.9)
+        with pytest.raises(ValueError):
+            state.matrix[0, 0] = 1.0
+
+    @pytest.mark.parametrize("name", ["t", "a", "b"])
+    def test_tensor_read_only(self, name):
+        tensor = correlation_tensor(werner(0.9))
+        with pytest.raises(ValueError):
+            getattr(tensor, name)[0] = 0.5
+
+    def test_caller_array_not_frozen(self):
+        m = bell_state("psi_minus").matrix.copy()
+        state = TwoQubitState(m)
+        assert m.flags.writeable
+        m[0, 0] = 7.0
+        assert state.matrix[0, 0] == 0.0
+
+    def test_caller_tensor_arrays_not_frozen(self):
+        t, a, b = np.eye(3), np.zeros(3), np.zeros(3)
+        CorrelationTensor(t=t, a=a, b=b)
+        assert t.flags.writeable and a.flags.writeable and b.flags.writeable
