@@ -12,7 +12,7 @@ import json
 import pathlib
 import sys
 
-from leggettsim.cli import main
+from leggettsim.cli import main, thresholds_payload
 
 OUT = pathlib.Path(__file__).resolve().parent.parent / "out"
 
@@ -39,11 +39,6 @@ if __name__ == "__main__":
         "--phi-start", "5", "--phi-stop", "85", "--steps", "17",
         "--out", str(OUT / "i26_simulated.csv"),
     )
-    thresholds = {}
-    for kind in ("i26", "i28"):
-        path = OUT / f"_{kind}.json"
-        run("thresholds", "--inequality", kind, "--out", str(path))
-        thresholds[kind] = json.loads(path.read_text())
-        path.unlink()
+    thresholds = {kind: thresholds_payload(kind) for kind in ("i26", "i28")}
     (OUT / "thresholds.json").write_text(json.dumps(thresholds, indent=2) + "\n")
     print(f"wrote {OUT}/")

@@ -4,7 +4,7 @@ Submodules:
     qstate       -- Bell/Werner states, correlation tensors, joint probabilities
     geometry     -- measurement-setting construction on the Poincare sphere
     inequalities -- six- and eight-setting inequality values, thresholds
-    oracle       -- brute-force certification of the hidden-variable bounds
+    oracle       -- grid search for the hidden-variable maximum (a lower bound)
     expsim       -- finite-shot Monte Carlo with readout error and correction
     cli          -- command-line front end
 """

@@ -235,15 +235,20 @@ def cmd_verify(args) -> int:
     return 0 if all_pass else 1
 
 
-def cmd_thresholds(args) -> int:
-    kind = inequalities.KINDS[args.inequality]
+def thresholds_payload(tag: str) -> dict:
+    """Optimum and visibility/fidelity thresholds of one inequality."""
+    kind = inequalities.KINDS[tag]
     phi_star, max_value = inequalities.max_violation(kind, 1.0)
-    payload = {
+    return {
         "v_min": inequalities.v_min(kind),
         "f_min": inequalities.f_min(kind),
         "phi_star_deg": math.degrees(phi_star),
         "max_value": max_value,
     }
+
+
+def cmd_thresholds(args) -> int:
+    payload = thresholds_payload(args.inequality)
     _write_text(json.dumps(payload, indent=2) + "\n", getattr(args, "out", "") or "")
     return 0
 
@@ -339,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--steps", type=int, default=None)
     sweep.set_defaults(func=cmd_sweep)
 
-    verify = subs.add_parser("verify", help="brute-force bound certification")
+    verify = subs.add_parser("verify", help="grid check of the hidden-variable bound")
     verify.add_argument("--inequality", choices=("i26", "i28"), required=True)
     verify.add_argument("--phi", type=float, action="append", help="degrees; repeatable")
     verify.add_argument("--grid-size", dest="grid_size", type=int, default=500)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,10 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import unit_vectors
-from leggettsim.geometry import Z, canonical_i26, canonical_i28, make_pair
+from leggettsim import oracle
+from leggettsim.geometry import (
+    CANONICAL,
+    Z,
+    SettingsConfig,
+    canonical_i26,
+    canonical_i28,
+    fibonacci_sphere,
+    make_pair,
+)
 from leggettsim.inequalities import KINDS, quantum_value
 from leggettsim.oracle import (
     LeggettEnsemblePoint,
+    _pair_term_max_grid,
     correlation_interval,
     oracle_max,
     pair_term_max,
@@ -195,3 +206,126 @@ class TestPerLambdaInequality:
             mixed = weight * values[0] + (1 - weight) * values[1]
             assert mixed <= max(values) + 1e-12
             assert mixed <= kind.bound + 1e-12
+
+
+def exhaustive_scan(config, grid_size):
+    """Every cell of the (u, v) grid: the reference for the pruned scan."""
+    kind = KINDS[config.kind]
+    u_grid = fibonacci_sphere(grid_size)
+    v_grid = fibonacci_sphere(grid_size)
+    total = np.zeros((grid_size, grid_size))
+    for i, pair in enumerate(config.pairs):
+        n = config.alice[config.pairing[i]]
+        m_a = (u_grid @ n)[:, None]
+        m_b = (v_grid @ pair.m)[None, :]
+        m_b_prime = (v_grid @ pair.m_prime)[None, :]
+        total += _pair_term_max_grid(m_a, m_b, m_b_prime)
+    total += kind.sine_coeff * math.sin(config.phi / 2.0)
+    flat = int(np.argmax(total))  # first occurrence: lowest-index tie-break
+    ui, vi = divmod(flat, grid_size)
+    return float(total[ui, vi]), u_grid[ui], v_grid[vi]
+
+
+def assert_scan_matches_exhaustive(config, grid_size):
+    report = verify_bound(config, grid_size)
+    value, u, v = exhaustive_scan(config, grid_size)
+    assert report.oracle_value == value
+    assert np.array_equal(report.argmax_u, u)
+    assert np.array_equal(report.argmax_v, v)
+
+
+def random_unit(rng):
+    v = rng.normal(size=3)
+    return v / np.linalg.norm(v)
+
+
+def random_config(seed):
+    """Random Alice vectors, bisectors, difference directions and pairing."""
+    rng = np.random.default_rng(seed)
+    phi = rng.uniform(0.0, math.pi)
+    alice = tuple(random_unit(rng) for _ in range(rng.integers(1, 4)))
+    pairs = []
+    for _ in range(rng.integers(2, 6)):
+        u = random_unit(rng)
+        e_hat = np.cross(u, random_unit(rng))
+        pairs.append(make_pair(u, e_hat / np.linalg.norm(e_hat), phi))
+    pairing = tuple(int(rng.integers(len(alice))) for _ in pairs)
+    kind = ("i26", "i28")[int(rng.integers(2))]
+    return SettingsConfig(alice=alice, pairs=tuple(pairs), pairing=pairing, kind=kind)
+
+
+# phi = 0 makes every column ceiling tie, so the scan visits all columns
+SCAN_DEGREES = (0.0, 10.0, 36.87, 44.42, 90.0, 180.0) + tuple(
+    np.random.default_rng(2008).uniform(0.0, 180.0, 4)
+)
+
+
+@pytest.fixture(params=[1, 7, 64])
+def chunk(request, monkeypatch):
+    # narrow chunks make the stopping rule and the cross-chunk tie-break
+    # decide the result; at 64 the first chunk holds every argmax here
+    monkeypatch.setattr(oracle, "_CHUNK", request.param)
+
+
+@pytest.mark.usefixtures("chunk")
+class TestPrunedScan:
+    @pytest.mark.parametrize("grid_size", [50, 97, 300, 500])
+    @pytest.mark.parametrize("deg", SCAN_DEGREES)
+    @pytest.mark.parametrize("tag", ["i26", "i28"])
+    def test_canonical_matches_exhaustive(self, tag, deg, grid_size):
+        assert_scan_matches_exhaustive(CANONICAL[tag](math.radians(deg)), grid_size)
+
+    @pytest.mark.parametrize("tag,deg", [("i26", 0.0), ("i28", 44.42)])
+    def test_canonical_matches_exhaustive_grid_2000(self, tag, deg):
+        assert_scan_matches_exhaustive(CANONICAL[tag](math.radians(deg)), 2000)
+
+    @pytest.mark.parametrize("grid_size", [97, 300])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_config_matches_exhaustive(self, seed, grid_size):
+        assert_scan_matches_exhaustive(random_config(seed), grid_size)
+
+    @pytest.mark.parametrize(
+        "grid_size,deg,bisector,e_hat",
+        [(64, 60.0, Y, -Z), (100, 90.0, -X, Z), (60, 180.0, -Y, -Z)],
+    )
+    def test_cross_column_ties_match_exhaustive(self, grid_size, deg, bisector, e_hat):
+        # the grid maximum is hit in two columns, and the column visited
+        # second holds the tie with the lowest row-major index
+        pair = make_pair(bisector, e_hat, math.radians(deg))
+        config = SettingsConfig(alice=(Z,), pairs=(pair,), pairing=(0,), kind="i26")
+        assert_scan_matches_exhaustive(config, grid_size)
+
+
+class TestScanLimits:
+    def test_verify_bound_grid_size_validation(self):
+        with pytest.raises(ValueError):
+            verify_bound(canonical_i26(1.0), 49)
+
+    def test_peak_memory_bounded_at_grid_4000(self):
+        config = canonical_i28(math.radians(44.42))
+        tracemalloc.start()
+        try:
+            verify_bound(config, 4000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2**20
+
+    @given(
+        unit_vectors(), unit_vectors(), unit_vectors(), unit_vectors(), unit_vectors(),
+        st.floats(0.0, math.pi),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_kernel_matches_pair_term_max_under_ceiling(self, u, v, n, bisector, other, phi):
+        e_hat = np.cross(bisector, other)
+        if np.linalg.norm(e_hat) < 1e-3:
+            e_hat = np.cross(bisector, X if abs(bisector @ X) < 0.9 else Y)
+        e_hat /= np.linalg.norm(e_hat)
+        pair = make_pair(bisector, e_hat, phi)
+        point = LeggettEnsemblePoint(u=u, v=v)
+        m_a, m_b = point.marginals(n, pair.m)
+        _, m_b_prime = point.marginals(n, pair.m_prime)
+        term = float(_pair_term_max_grid(m_a, m_b, m_b_prime))
+        assert term == pytest.approx(pair_term_max(point, pair, n), abs=1e-14)
+        # the column ceiling the pruned scan relies on
+        assert term <= 2.0 - abs(m_b - m_b_prime) + 1e-12
