@@ -3,6 +3,12 @@
 Subcommands: sweep, verify, thresholds, report, simulate.  Angles are
 degrees at the CLI boundary and radians internally.  Exit codes: 0 ok,
 1 verification failure, 2 usage/config error, 3 I/O error.
+
+Import rule: at module level this file imports only the standard library
+and the numpy-free ``inequalities``.  The numpy-backed modules (``qstate``,
+``geometry``, ``expsim``, ``oracle``) are imported inside the commands that
+need them, so ``thresholds``, ``report`` and the analytic ``sweep --shots 0``
+start without loading numpy.
 """
 
 from __future__ import annotations
@@ -12,8 +18,12 @@ import json
 import math
 import sys
 from dataclasses import dataclass, fields
+from typing import TYPE_CHECKING
 
-from . import expsim, geometry, inequalities, oracle, qstate
+from . import inequalities
+
+if TYPE_CHECKING:
+    from . import expsim
 
 PUBLISHED_VALUES = (
     {"kind": "i26", "dataset": "raw", "value": 6.136, "sigma": 0.034},
@@ -60,9 +70,11 @@ class RunConfig:
     format: str = "csv"
 
     def validate(self):
+        for f in fields(self):
+            _check_type(f.name, getattr(self, f.name), type(f.default))
         if self.inequality not in inequalities.KINDS:
             raise UsageError(f"inequality: unknown kind {self.inequality!r}")
-        if self.bell not in qstate.BELL_KINDS:
+        if self.bell not in inequalities.BELL_KINDS:
             raise UsageError(f"bell: unknown Bell state {self.bell!r}")
         if not 0.0 <= self.visibility <= 1.0:
             raise UsageError(f"visibility: must lie in [0, 1], got {self.visibility}")
@@ -83,6 +95,8 @@ class RunConfig:
             raise UsageError(f"format: must be csv or json, got {self.format!r}")
 
     def readout_model(self) -> expsim.ReadoutModel:
+        from . import expsim
+
         return expsim.ReadoutModel.from_fidelities(
             self.f0_nuclear, self.f1_nuclear, self.f0_electron, self.f1_electron
         )
@@ -98,6 +112,8 @@ class RunConfig:
                 raise UsageError(f"config: cannot read {args.config}: {exc}") from exc
             except json.JSONDecodeError as exc:
                 raise UsageError(f"config: {args.config}: {exc}") from exc
+            if not isinstance(data, dict):
+                raise UsageError(f"config: {args.config}: expected a JSON object")
             known = {f.name for f in fields(cls)}
             for key, value in data.items():
                 if key not in known:
@@ -113,6 +129,18 @@ class RunConfig:
             raise UsageError(f"config: {exc}") from exc
         config.validate()
         return config
+
+
+def _check_type(name: str, value, expected: type):
+    """Reject a value whose type is not ``expected``; a float also accepts an int.
+
+    bool is an int subclass, so it is accepted only where bool is expected.
+    """
+    accepted = (int, float) if expected is float else expected
+    if isinstance(value, bool) != (expected is bool) or not isinstance(value, accepted):
+        raise UsageError(
+            f"{name}: expected {expected.__name__}, got {type(value).__name__} {value!r}"
+        )
 
 
 def _fmt(x) -> str:
@@ -149,10 +177,11 @@ def _write_text(text: str, out_path: str):
 def cmd_sweep(args) -> int:
     config = RunConfig.load(args)
     kind = inequalities.KINDS[config.inequality]
-    canonical = geometry.CANONICAL[kind.tag]
 
-    state = tensor = None
     if config.shots > 0:
+        from . import expsim, geometry, qstate
+
+        canonical = geometry.CANONICAL[kind.tag]
         state = qstate.werner(config.visibility, config.bell)
         tensor = qstate.correlation_tensor(state)
         readout = config.readout_model()
@@ -222,12 +251,15 @@ def cmd_verify(args) -> int:
         raise UsageError(f"grid-size: must be >= 50, got {args.grid_size}")
     if not args.phi:
         raise UsageError("phi: at least one angle required")
+    for phi_deg in args.phi:
+        if not 0.0 <= phi_deg <= 180.0:
+            raise UsageError(f"phi: must lie in [0, 180], got {phi_deg}")
+    from . import geometry, oracle
+
     canonical = geometry.CANONICAL[args.inequality]
     reports = []
     all_pass = True
     for phi_deg in args.phi:
-        if not 0.0 <= phi_deg <= 180.0:
-            raise UsageError(f"phi: must lie in [0, 180], got {phi_deg}")
         report = oracle.verify_bound(canonical(math.radians(phi_deg)), args.grid_size)
         reports.append(report.to_json_dict())
         all_pass = all_pass and report.passed
@@ -253,6 +285,24 @@ def cmd_thresholds(args) -> int:
     return 0
 
 
+def _check_report_entries(entries, path: str):
+    """Raise UsageError unless entries is a list of {kind, value, sigma} objects."""
+    if not isinstance(entries, list):
+        raise UsageError(f"from-file: {path}: expected a JSON list of entries")
+    for i, entry in enumerate(entries):
+        where = f"from-file: {path}: entry {i}"
+        if not isinstance(entry, dict):
+            raise UsageError(f"{where}: expected an object, got {entry!r}")
+        missing = [key for key in ("kind", "value", "sigma") if key not in entry]
+        if missing:
+            raise UsageError(f"{where}: missing {', '.join(missing)}")
+        kind = entry["kind"]
+        if not isinstance(kind, str) or kind not in inequalities.KINDS:
+            raise UsageError(f"{where}: unknown kind {kind!r}")
+        for key in ("value", "sigma"):
+            _check_type(f"{where}: {key}", entry[key], float)
+
+
 def cmd_report(args) -> int:
     if args.from_file:
         try:
@@ -260,6 +310,7 @@ def cmd_report(args) -> int:
                 entries = json.load(fh)
         except OSError as exc:
             raise IOError(f"cannot read {args.from_file}: {exc}") from exc
+        _check_report_entries(entries, args.from_file)
     else:
         entries = [dict(e) for e in PUBLISHED_VALUES]
     rows = []
@@ -293,6 +344,8 @@ def cmd_simulate(args) -> int:
     config = RunConfig.load(args)
     if config.shots < 1:
         raise UsageError("shots: simulate requires shots >= 1")
+    from . import expsim, geometry, qstate
+
     kind = inequalities.KINDS[config.inequality]
     canonical = geometry.CANONICAL[kind.tag]
     state = qstate.werner(config.visibility, config.bell)
@@ -320,7 +373,7 @@ class _Parser(argparse.ArgumentParser):
 def _add_run_options(sub):
     sub.add_argument("--config", default=None, help="JSON config file")
     sub.add_argument("--inequality", choices=("i26", "i28"), default=None)
-    sub.add_argument("--bell", choices=qstate.BELL_KINDS, default=None)
+    sub.add_argument("--bell", choices=inequalities.BELL_KINDS, default=None)
     sub.add_argument("--visibility", type=float, default=None)
     sub.add_argument("--shots", type=int, default=None)
     sub.add_argument("--seed", type=int, default=None)

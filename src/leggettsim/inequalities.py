@@ -2,6 +2,11 @@
 
 The inequality value is the full left-hand side including the sine term,
 so the bound is the constant 6 (six settings) or 8 (eight settings).
+
+This module imports only the standard library, so the closed-form
+subcommands of the CLI start without numpy.  It therefore also holds the
+Werner-state fidelity conventions and the Bell-state names, which
+``qstate`` re-exports.
 """
 
 from __future__ import annotations
@@ -9,9 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .qstate import amplitude_fidelity
-
 PHI_BISECTION_TOL = 1e-10
+
+BELL_KINDS = ("phi_minus", "phi_plus", "psi_minus", "psi_plus")
 
 
 @dataclass(frozen=True)
@@ -130,6 +135,18 @@ def _bisect(f, a: float, b: float, increasing: bool) -> float:
         else:
             a = mid
     return 0.5 * (a + b)
+
+
+def amplitude_fidelity(visibility: float) -> float:
+    """Fidelity convention sqrt(3V + 1)/2 for a Werner state of visibility V."""
+    _check_visibility(visibility)
+    return math.sqrt(3.0 * visibility + 1.0) / 2.0
+
+
+def overlap_fidelity(visibility: float) -> float:
+    """Raw Bell-state overlap (3V + 1)/4 of a Werner state."""
+    _check_visibility(visibility)
+    return (3.0 * visibility + 1.0) / 4.0
 
 
 def v_min(kind: InequalityKind) -> float:

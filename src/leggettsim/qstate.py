@@ -11,6 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# defined in the numpy-free inequalities module and re-exported here
+from .inequalities import BELL_KINDS, amplitude_fidelity, overlap_fidelity  # noqa: F401
+
 HERMITIAN_TOL = 1e-12
 TRACE_TOL = 1e-12
 PSD_TOL = 1e-10
@@ -21,8 +24,6 @@ SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULI = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 IDENTITY_2 = np.eye(2, dtype=complex)
-
-BELL_KINDS = ("phi_minus", "phi_plus", "psi_minus", "psi_plus")
 
 _BELL_VECTORS = {
     # amplitudes over |00>, |01>, |10>, |11>
@@ -107,20 +108,6 @@ def werner(visibility: float, base: str = "phi_minus") -> TwoQubitState:
         raise ValueError(f"visibility must lie in [0, 1], got {visibility}")
     rho = bell_state(base).matrix
     return TwoQubitState(visibility * rho + (1.0 - visibility) * np.eye(4) / 4.0)
-
-
-def amplitude_fidelity(visibility: float) -> float:
-    """Fidelity convention sqrt(3V + 1)/2 for a Werner state of visibility V."""
-    if not 0.0 <= visibility <= 1.0:
-        raise ValueError(f"visibility must lie in [0, 1], got {visibility}")
-    return np.sqrt(3.0 * visibility + 1.0) / 2.0
-
-
-def overlap_fidelity(visibility: float) -> float:
-    """Raw Bell-state overlap (3V + 1)/4 of a Werner state."""
-    if not 0.0 <= visibility <= 1.0:
-        raise ValueError(f"visibility must lie in [0, 1], got {visibility}")
-    return (3.0 * visibility + 1.0) / 4.0
 
 
 def correlation_tensor(state: TwoQubitState) -> CorrelationTensor:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from leggettsim import oracle
 from leggettsim.cli import main
 
 
@@ -61,6 +62,28 @@ class TestReport:
         code, out, _ = run(capsys, "report", "--json", "--from-file", str(path))
         assert code == 0
         assert json.loads(out)[0]["sigmas_violation"] == pytest.approx(3.0, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            [{"kind": "i99", "value": 6.3, "sigma": 0.1}],
+            [{"kind": "i26", "value": 6.3}],
+            {"kind": "i26", "value": 6.3, "sigma": 0.1},
+            [{"kind": "i26", "value": "6.3", "sigma": 0.1}],
+            [6.3],
+        ],
+        ids=[
+            "unknown_kind", "missing_key", "top_level_object", "non_numeric_value",
+            "entry_not_object",
+        ],
+    )
+    def test_malformed_file(self, capsys, tmp_path, data):
+        path = tmp_path / "values.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "report", "--from-file", str(path))
+        assert code == 2
+        assert err.startswith("error:")
+        assert out == ""
 
 
 class TestSweep:
@@ -146,6 +169,25 @@ class TestSweep:
         assert code == 2
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"steps": "61"}, {"visibility": "0.9"}, {"steps": 2.5}, {"correct": "yes"},
+            {"correct": 1}, {"shots": True}, [1],
+        ],
+        ids=[
+            "str_steps", "str_visibility", "float_steps", "str_correct", "int_correct",
+            "bool_shots", "top_level_list",
+        ],
+    )
+    def test_wrong_typed_config_field(self, capsys, tmp_path, data):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "sweep", "--config", str(path))
+        assert code == 2
+        assert err.startswith("error:")
+        assert out == ""
+
     def test_bad_phi_range(self, capsys):
         code, _, err = run(capsys, "sweep", "--phi-start", "50", "--phi-stop", "10")
         assert code == 2
@@ -184,6 +226,17 @@ class TestVerify:
         )
         assert code == 2
         assert err.startswith("error:")
+
+    def test_bad_later_phi_rejected_before_any_scan(self, capsys, monkeypatch):
+        scans = []
+        monkeypatch.setattr(oracle, "verify_bound", lambda *args: scans.append(args))
+        code, out, err = run(
+            capsys, "verify", "--inequality", "i26", "--phi", "10", "--phi", "200"
+        )
+        assert code == 2
+        assert err.startswith("error:")
+        assert out == ""
+        assert scans == []
 
     def test_missing_phi(self, capsys):
         code, _, err = run(capsys, "verify", "--inequality", "i26")
