@@ -29,6 +29,12 @@ SWEEP_SHA256 = {
     "i26": "1ded7519e7843cacedd49233bf506ca187e25c15333e82ad5e10169fe64f5d9a",
     "i28": "33b52281f153b1622fe103c6e965a0529cca3e2410a156aece5e8b6b8bd456bd",
 }
+# header plus the step-0 row of the sampled sweep: step 0 draws the same
+# streams as ``simulate``, so these outlive any change to later steps' seeds
+SWEEP_STEP0_SHA256 = {
+    "i26": "bf1c9fea27ab89456b354b0c1770ef0e90b9d159898426826d59f5b750508020",
+    "i28": "cc0766950a6c47ed46cfcd877738655fe1aca8498c5aa08a5245c6635e7b627f",
+}
 SIMULATE_SHA256 = {
     "i26": "030e88f60a4720712cdd972bff15f5c44fab435f1dd7c8eb644c992bd1417c37",
     "i28": "60a050d4b041f79f1e83d23a81ef8ba3ec03a7f643c8b23b2c90e9b157cbf3b0",
@@ -53,6 +59,13 @@ def stdout_sha256(capsys, *argv) -> str:
 def test_sampled_sweep(capsys, tag):
     digest = stdout_sha256(capsys, "sweep", "--inequality", tag, *SWEEP_ARGS)
     assert digest == SWEEP_SHA256[tag]
+
+
+@pytest.mark.parametrize("tag", ["i26", "i28"])
+def test_sampled_sweep_step0(capsys, tag):
+    assert main(["sweep", "--inequality", tag, *SWEEP_ARGS]) == 0
+    head = "".join(capsys.readouterr().out.splitlines(keepends=True)[:2])
+    assert hashlib.sha256(head.encode()).hexdigest() == SWEEP_STEP0_SHA256[tag]
 
 
 @pytest.mark.parametrize("tag", ["i26", "i28"])
