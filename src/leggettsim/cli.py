@@ -87,6 +87,8 @@ class RunConfig:
             raise UsageError(f"steps: must be >= 1, got {self.steps}")
         if self.shots < 0:
             raise UsageError(f"shots: must be >= 0, got {self.shots}")
+        if not 0 <= self.seed < 2**32:
+            raise UsageError(f"seed: must lie in [0, 2**32), got {self.seed}")
         for name in ("f0_nuclear", "f1_nuclear", "f0_electron", "f1_electron"):
             f = getattr(self, name)
             if not 0.5 < f <= 1.0:
@@ -128,6 +130,10 @@ class RunConfig:
         except TypeError as exc:
             raise UsageError(f"config: {exc}") from exc
         config.validate()
+        # a JSON int in a float field prints like the flag's float
+        for f in fields(cls):
+            if type(f.default) is float:
+                setattr(config, f.name, float(getattr(config, f.name)))
         return config
 
 
@@ -141,6 +147,11 @@ def _check_type(name: str, value, expected: type):
         raise UsageError(
             f"{name}: expected {expected.__name__}, got {type(value).__name__} {value!r}"
         )
+
+
+def _check_phi_deg(phi_deg: float):
+    if not 0.0 <= phi_deg <= 180.0:
+        raise UsageError(f"phi: must lie in [0, 180], got {phi_deg}")
 
 
 def _fmt(x) -> str:
@@ -219,9 +230,10 @@ def cmd_sweep(args) -> int:
             settings,
             kind,
             shots_per_setting=config.shots,
-            seed=config.seed + 1000003 * i,
+            seed=config.seed,
             readout=readout,
             correct=config.correct,
+            step=i,
         )
         if config.correct:
             value, sigma = result.corrected.value, result.sigma_corrected
@@ -252,8 +264,7 @@ def cmd_verify(args) -> int:
     if not args.phi:
         raise UsageError("phi: at least one angle required")
     for phi_deg in args.phi:
-        if not 0.0 <= phi_deg <= 180.0:
-            raise UsageError(f"phi: must lie in [0, 180], got {phi_deg}")
+        _check_phi_deg(phi_deg)
     from . import geometry, oracle
 
     canonical = geometry.CANONICAL[args.inequality]
@@ -344,6 +355,7 @@ def cmd_simulate(args) -> int:
     config = RunConfig.load(args)
     if config.shots < 1:
         raise UsageError("shots: simulate requires shots >= 1")
+    _check_phi_deg(args.phi)
     from . import expsim, geometry, qstate
 
     kind = inequalities.KINDS[config.inequality]
@@ -372,7 +384,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_run_options(sub):
     sub.add_argument("--config", default=None, help="JSON config file")
-    sub.add_argument("--inequality", choices=("i26", "i28"), default=None)
+    sub.add_argument("--inequality", choices=tuple(inequalities.KINDS), default=None)
     sub.add_argument("--bell", choices=inequalities.BELL_KINDS, default=None)
     sub.add_argument("--visibility", type=float, default=None)
     sub.add_argument("--shots", type=int, default=None)
@@ -398,14 +410,14 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.set_defaults(func=cmd_sweep)
 
     verify = subs.add_parser("verify", help="grid check of the hidden-variable bound")
-    verify.add_argument("--inequality", choices=("i26", "i28"), required=True)
+    verify.add_argument("--inequality", choices=tuple(inequalities.KINDS), required=True)
     verify.add_argument("--phi", type=float, action="append", help="degrees; repeatable")
     verify.add_argument("--grid-size", dest="grid_size", type=int, default=500)
     verify.add_argument("--out", default=None)
     verify.set_defaults(func=cmd_verify)
 
     thresholds = subs.add_parser("thresholds", help="visibility/fidelity thresholds")
-    thresholds.add_argument("--inequality", choices=("i26", "i28"), required=True)
+    thresholds.add_argument("--inequality", choices=tuple(inequalities.KINDS), required=True)
     thresholds.add_argument("--out", default=None)
     thresholds.set_defaults(func=cmd_thresholds)
 

@@ -1,8 +1,10 @@
 """Finite-shot Monte Carlo simulation of the correlation experiment.
 
-Sampling uses numpy's PCG64 generator.  Per-setting streams are derived
-as SeedSequence([master_seed, setting_index]), so results are identical
-regardless of execution order or platform.
+Sampling uses numpy's PCG64 generator.  ``run_experiment`` is the only
+sampler; its one seeding rule is SeedSequence([seed, setting_index, step]),
+with ``simulate`` as step 0.  Seeds and steps lie in [0, 2**32), one word
+each, so no two streams coincide and results do not depend on execution
+order or platform.
 
 Readout confusion is applied to the outcome probabilities before
 sampling; this is equivalent in distribution to flipping sampled
@@ -118,15 +120,6 @@ def _correct_readout(model: ReadoutModel, p_measured):
     return p / total, clipped
 
 
-def sample_counts(state: TwoQubitState, n, m, shots: int, seed) -> np.ndarray:
-    """Multinomial outcome counts, ordered (++, +-, -+, --)."""
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
-    probs = joint_probabilities(state, n, m)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    return rng.multinomial(shots, probs / probs.sum())
-
-
 def estimate_correlation(counts):
     """(C_hat, sigma) from outcome counts; sigma = sqrt((1 - C^2)/N)."""
     counts = np.asarray(counts)
@@ -200,15 +193,6 @@ class ExperimentResult:
             out["config"] = self.config.to_json_dict()
         return out
 
-    def counts_csv_rows(self):
-        """Rows (setting_id, n, m, n_pp, n_pm, n_mp, n_mm)."""
-        rows = []
-        for rec in self.settings:
-            rows.append(
-                (rec.setting_id, list(rec.n), list(rec.m), *(int(c) for c in rec.counts))
-            )
-        return rows
-
 
 def run_experiment(
     state: TwoQubitState,
@@ -218,12 +202,20 @@ def run_experiment(
     seed: int,
     readout: Optional[ReadoutModel] = None,
     correct: bool = False,
+    step: int = 0,
 ) -> ExperimentResult:
     """Sample every setting, estimate correlations and assemble the result.
 
-    Sub-seed for setting i is SeedSequence([seed, i]); the confusion model
-    is folded into the sampling distribution.
+    Each setting draws its outcome counts, ordered (++, +-, -+, --), from
+    SeedSequence([seed, setting_index, step]); ``simulate`` is step 0 and
+    sweep step k is step k.  ``seed`` and ``step`` must lie in [0, 2**32).
+    The confusion model is folded into the sampling distribution.
     """
+    if shots_per_setting < 1:
+        raise ValueError(f"shots must be >= 1, got {shots_per_setting}")
+    for name, value in (("seed", seed), ("step", step)):
+        if not 0 <= value < 2**32:
+            raise ValueError(f"{name} must lie in [0, 2**32), got {value}")
     if readout is None:
         readout = ReadoutModel.identity()
     if len(config.pairs) != kind.num_pairs:
@@ -236,7 +228,7 @@ def run_experiment(
         p_true = joint_probabilities(state, n, m)
         p_phys = apply_confusion(readout, p_true)
         rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence([seed, setting_id]))
+            np.random.PCG64(np.random.SeedSequence([seed, setting_id, step]))
         )
         counts = rng.multinomial(shots_per_setting, p_phys / p_phys.sum())
         c_raw, sigma_raw = estimate_correlation(counts)

@@ -159,16 +159,6 @@ def _scan(config: SettingsConfig, grid_size: int):
     return best, u_grid[ui], v_grid[vi]
 
 
-def oracle_max(config: SettingsConfig, grid_size: int = 500) -> float:
-    """Max of the inequality expression over the hidden-variable grid.
-
-    The grid value is a lower bound on the supremum, approached from below
-    as the grid is refined.
-    """
-    value, _, _ = _scan(config, grid_size)
-    return value
-
-
 def verify_bound(config: SettingsConfig, grid_size: int = 500) -> BoundReport:
     """Check the bound against the grid maximum of the expression.
 

@@ -1,15 +1,37 @@
 import json
+import math
 
 import pytest
 
 from leggettsim import oracle
 from leggettsim.cli import main
+from leggettsim.expsim import ReadoutModel, run_experiment
+from leggettsim.geometry import adapt_to_state, canonical_i26
+from leggettsim.inequalities import I26
+from leggettsim.qstate import correlation_tensor, werner
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def sweep_rows(capsys, *argv):
+    """Data rows of a CSV sweep, each a dict from column name to cell."""
+    code, out, err = run(capsys, "sweep", *argv)
+    assert code == 0, err
+    header, *lines = out.splitlines()
+    return [dict(zip(header.split(","), line.split(","))) for line in lines]
+
+
+def simulate_json(capsys, *argv) -> dict:
+    code, out, err = run(capsys, "simulate", *argv)
+    assert code == 0, err
+    return json.loads(out)
+
+
+READOUT_ARGS = ("--f0-nuclear", "0.97", "--f1-nuclear", "0.95", "--f0-electron", "0.96")
 
 
 class TestThresholds:
@@ -188,6 +210,57 @@ class TestSweep:
         assert err.startswith("error:")
         assert out == ""
 
+    def test_int_config_fields_print_like_flags(self, capsys, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"phi_start": 10, "phi_stop": 10, "steps": 1}))
+        code, from_config, _ = run(capsys, "sweep", "--config", str(path))
+        assert code == 0
+        code, from_flags, _ = run(
+            capsys, "sweep", "--phi-start", "10", "--phi-stop", "10", "--steps", "1"
+        )
+        assert code == 0
+        assert from_config.encode() == from_flags.encode()
+        assert from_config.splitlines()[1].startswith("10.0,")
+
+    @pytest.mark.parametrize(
+        "argv", [("sweep", "--steps", "2"), ("simulate", "--phi", "30")], ids=" ".join
+    )
+    @pytest.mark.parametrize("seed", ["4294967296", "-1"])
+    def test_seed_out_of_range(self, capsys, argv, seed):
+        code, out, err = run(capsys, *argv, "--shots", "10", "--seed", seed)
+        assert code == 2
+        assert err.startswith("error: seed:")
+        assert out == ""
+
+    def test_later_step_does_not_alias_a_larger_seed(self, capsys):
+        rows = sweep_rows(
+            capsys, "--shots", "1000", "--seed", "0", "--steps", "2",
+            "--phi-start", "30", "--phi-stop", "30",
+        )
+        data = simulate_json(capsys, "--phi", "30", "--shots", "1000", "--seed", "1000003")
+        assert float(rows[1]["I_raw"]) != data["raw"]["value"]
+
+    def test_rows_are_steps_of_one_seed(self, capsys):
+        rows = sweep_rows(
+            capsys, "--visibility", "0.98", "--shots", "2000", "--seed", "11",
+            "--steps", "3", "--phi-start", "30", "--phi-stop", "30", "--correct",
+            *READOUT_ARGS,
+        )
+        state = werner(0.98, "phi_minus")
+        config = adapt_to_state(correlation_tensor(state), canonical_i26(math.radians(30)))
+        readout = ReadoutModel.from_fidelities(0.97, 0.95, 0.96, 1.0)
+        counts = set()
+        for i, row in enumerate(rows):
+            result = run_experiment(
+                state, config, I26, 2000, seed=11, readout=readout, correct=True, step=i
+            )
+            assert float(row["I_raw"]) == result.raw.value
+            assert float(row["sigma_raw"]) == result.sigma_raw
+            assert float(row["I_corrected"]) == result.corrected.value
+            assert float(row["sigma_corrected"]) == result.sigma_corrected
+            counts.add(tuple(int(c) for rec in result.settings for c in rec.counts))
+        assert len(counts) == 3
+
     def test_bad_phi_range(self, capsys):
         code, _, err = run(capsys, "sweep", "--phi-start", "50", "--phi-stop", "10")
         assert code == 2
@@ -262,6 +335,28 @@ class TestSimulate:
         assert code == 0
         data = json.loads(out)
         assert "corrected" in data
+
+    @pytest.mark.parametrize("tag", ["i26", "i28"])
+    @pytest.mark.parametrize("phi, seed", [("36.87", "4"), ("12.5", "0"), ("90", "4294967295")])
+    def test_equals_single_step_sweep(self, capsys, tag, phi, seed):
+        common = (
+            "--inequality", tag, "--visibility", "0.97", "--shots", "5000",
+            "--seed", seed, "--correct", *READOUT_ARGS,
+        )
+        data = simulate_json(capsys, "--phi", phi, *common)
+        (row,) = sweep_rows(capsys, "--steps", "1", "--phi-start", phi, "--phi-stop", phi, *common)
+        assert float(row["I_raw"]) == data["raw"]["value"]
+        assert float(row["sigma_raw"]) == data["sigma_raw"]
+        assert float(row["I_corrected"]) == data["corrected"]["value"]
+        assert float(row["sigma_corrected"]) == data["sigma_corrected"]
+
+    @pytest.mark.parametrize("phi", ["200", "nan", "-1"])
+    def test_phi_out_of_range(self, capsys, phi):
+        code, out, err = run(capsys, "simulate", "--phi", phi, "--shots", "100")
+        assert code == 2
+        assert err.startswith("error: phi:")
+        assert "[0, 180]" in err
+        assert out == ""
 
     def test_requires_shots(self, capsys):
         code, _, err = run(capsys, "simulate", "--phi", "40", "--shots", "0")

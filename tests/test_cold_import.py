@@ -4,7 +4,9 @@ The closed-form subcommands (``thresholds``, ``report`` and the analytic
 ``sweep --shots 0``) must run without importing numpy; the numpy-backed
 ones (``simulate``, ``verify``) must still import what they need lazily.
 Each case runs ``cli.main`` in a new interpreter, so no module imported by
-this test process can hide a missing or an extra import.
+this test process can hide a missing or an extra import.  The last two
+tests run ``python -m leggettsim.cli``, the path through ``entry()`` that
+sets the process exit code.
 """
 
 import json
@@ -27,15 +29,19 @@ sys.stderr.write(json.dumps({"code": code, "numpy": "numpy" in sys.modules}) + "
 """
 
 
-def run_child(*argv) -> dict:
+def run_python(*argv) -> subprocess.CompletedProcess:
     path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-c", CHILD, *argv],
+    return subprocess.run(
+        [sys.executable, *argv],
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
         text=True,
         timeout=120,
     )
+
+
+def run_child(*argv) -> dict:
+    proc = run_python("-c", CHILD, *argv)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stderr.strip().splitlines()[-1])
 
@@ -68,3 +74,19 @@ def test_light_subcommand_does_not_import_numpy(argv):
 )
 def test_numpy_subcommand_runs_in_fresh_process(argv):
     assert run_child(*argv)["code"] == 0
+
+
+def test_module_entry_point_exits_0():
+    proc = run_python("-m", "leggettsim.cli", "thresholds", "--inequality", "i26")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["max_value"] > 6.0
+
+
+def test_module_entry_point_exits_2_on_usage_error():
+    proc = run_python(
+        "-m", "leggettsim.cli", "simulate", "--phi", "30", "--shots", "10",
+        "--seed", "4294967296",
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: seed:")
+    assert proc.stdout == ""

@@ -10,9 +10,8 @@ from leggettsim.expsim import (
     correct_readout,
     estimate_correlation,
     run_experiment,
-    sample_counts,
 )
-from leggettsim.geometry import Z, adapt_to_state, canonical_i26
+from leggettsim.geometry import adapt_to_state, canonical_i26
 from leggettsim.inequalities import I26, quantum_value
 from leggettsim.qstate import bell_state, correlation_tensor, joint_probabilities, werner
 
@@ -112,25 +111,54 @@ class TestCorrectReadout:
             assert np.allclose(recovered, p, atol=1e-10)
 
 
+def sampled_counts(state, shots, seed, **kwargs):
+    """Counts of every setting of the unadapted six-setting configuration.
+
+    At phi = 0 settings 0-3 measure (Z, Z) and settings 4-5 (X, X).
+    """
+    result = run_experiment(state, canonical_i26(0.0), I26, shots, seed=seed, **kwargs)
+    return np.array([rec.counts for rec in result.settings])
+
+
 class TestSampling:
     def test_zero_probability_outcomes_never_drawn(self):
-        counts = sample_counts(bell_state("psi_minus"), Z, Z, 10**6, seed=3)
-        assert counts[0] == 0 and counts[3] == 0
-        assert counts.sum() == 10**6
+        counts = sampled_counts(bell_state("psi_minus"), 10**6, seed=3)
+        assert np.all(counts[:, 0] == 0) and np.all(counts[:, 3] == 0)
+        assert np.all(counts.sum(axis=1) == 10**6)
 
     def test_uniform_concentration(self):
-        counts = sample_counts(werner(0.0), Z, Z, 4 * 10**6, seed=9)
+        counts = sampled_counts(werner(0.0), 4 * 10**6, seed=9)
         sigma = math.sqrt(4e6 * 0.25 * 0.75)
         assert np.all(np.abs(counts - 1e6) < 5 * sigma)
 
     def test_determinism(self):
-        a = sample_counts(werner(0.8), Z, Z, 10**4, seed=123)
-        b = sample_counts(werner(0.8), Z, Z, 10**4, seed=123)
+        a = sampled_counts(werner(0.8), 10**4, seed=123)
+        b = sampled_counts(werner(0.8), 10**4, seed=123)
         assert np.array_equal(a, b)
 
     def test_shots_validation(self):
-        with pytest.raises(ValueError):
-            sample_counts(werner(0.5), Z, Z, 0, seed=0)
+        with pytest.raises(ValueError, match="shots must be >= 1"):
+            sampled_counts(werner(0.5), 0, seed=0)
+
+    def test_streams_differ_across_settings_steps_and_seeds(self):
+        # the six settings of one run share one distribution, so equal
+        # streams would show as equal rows
+        state = werner(0.0)
+        rows = [tuple(r) for r in sampled_counts(state, 10**4, seed=7)]
+        rows += [tuple(r) for r in sampled_counts(state, 10**4, seed=7, step=1)]
+        rows += [tuple(r) for r in sampled_counts(state, 10**4, seed=8)]
+        assert len(set(rows)) == len(rows)
+
+    @pytest.mark.parametrize("seed", [-1, 2**32, 7 + 3 * 2**32])
+    def test_seed_range(self, seed):
+        # 7 + 3 * 2**32 would be the two words [7, 3] and alias another stream
+        with pytest.raises(ValueError, match="seed must lie in"):
+            sampled_counts(werner(0.5), 10, seed=seed)
+
+    @pytest.mark.parametrize("step", [-1, 2**32])
+    def test_step_range(self, step):
+        with pytest.raises(ValueError, match="step must lie in"):
+            sampled_counts(werner(0.5), 10, seed=0, step=step)
 
 
 class TestEstimateCorrelation:
@@ -225,9 +253,6 @@ class TestRunExperiment:
         result = run_experiment(state, adapted_config(state), I26, 1000, seed=2)
         data = result.to_json_dict()
         assert data["kind"] == "i26" and len(data["settings"]) == 6
-        rows = result.counts_csv_rows()
-        assert len(rows) == 6
-        assert sum(rows[0][3:]) == 1000
 
     def test_ill_conditioned_model_without_correction(self):
         state = werner(0.9)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import unit_vectors
 from leggettsim.geometry import (
     _TETRA,
+    CANONICAL,
     X,
     Y,
     Z,
@@ -21,6 +22,7 @@ from leggettsim.geometry import (
     geometric_factor,
     make_pair,
 )
+from leggettsim.inequalities import KINDS
 from leggettsim.qstate import CorrelationTensor, correlation_tensor, werner
 
 PHI_OPT_26 = 2 * math.atan(1 / 3)
@@ -114,6 +116,14 @@ class TestCanonicalConfigs:
         for pair in canonical_i26(0.0).pairs:
             assert np.allclose(pair.m, pair.m_prime, atol=1e-15)
             assert np.allclose(pair.m, pair.u, atol=1e-15)
+
+    def test_registry_matches_kinds(self):
+        # KINDS is numpy-free and CANONICAL is not, so they stay two tables
+        assert CANONICAL.keys() == KINDS.keys()
+        for tag, build in CANONICAL.items():
+            config = build(0.5)
+            assert config.kind == tag
+            assert len(config.pairs) == KINDS[tag].num_pairs
 
     def test_phi_out_of_range(self):
         with pytest.raises(ValueError):

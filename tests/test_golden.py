@@ -3,10 +3,13 @@
 The digests pin the exact stdout of a corrected sampled sweep and of a
 corrected single-angle simulation for both inequalities, and of the
 numpy-free subcommands: the analytic sweep, ``thresholds`` and ``report``.
-A change that
-reorders a floating-point operation, alters seeding or touches the output
-format shows up here.  They were recorded with numpy 2.4; numpy may change
-its Generator streams between releases, which would also move them.
+Setting i of sweep step k samples from SeedSequence([seed, i, k]) and
+``simulate`` is step 0, so the sweep's header and first row are pinned on
+their own too: they stay fixed while the streams of later steps do not.
+A change that reorders a floating-point operation, alters seeding or
+touches the output format shows up here.  They were recorded with numpy
+2.4; numpy may change its Generator streams between releases, which would
+also move them.
 """
 
 import hashlib
@@ -26,11 +29,11 @@ SIMULATE_ARGS = (
 )
 
 SWEEP_SHA256 = {
-    "i26": "1ded7519e7843cacedd49233bf506ca187e25c15333e82ad5e10169fe64f5d9a",
-    "i28": "33b52281f153b1622fe103c6e965a0529cca3e2410a156aece5e8b6b8bd456bd",
+    "i26": "28c6ca07e163832c78f6b490a456bf353fbb84cafcfd8c77949d455aa764e2d1",
+    "i28": "d017ab101199cc9198b9500601d1cff1183155476b948c316dddb947824adb85",
 }
 # header plus the step-0 row of the sampled sweep: step 0 draws the same
-# streams as ``simulate``, so these outlive any change to later steps' seeds
+# streams as ``simulate``
 SWEEP_STEP0_SHA256 = {
     "i26": "bf1c9fea27ab89456b354b0c1770ef0e90b9d159898426826d59f5b750508020",
     "i28": "cc0766950a6c47ed46cfcd877738655fe1aca8498c5aa08a5245c6635e7b627f",

@@ -22,7 +22,6 @@ from leggettsim.oracle import (
     LeggettEnsemblePoint,
     _pair_term_max_grid,
     correlation_interval,
-    oracle_max,
     pair_term_max,
     verify_bound,
 )
@@ -115,28 +114,29 @@ class TestPairTermMax:
 
 class TestOracleMax:
     def test_phi_zero_saturates(self):
-        assert oracle_max(canonical_i26(0.0), 500) == pytest.approx(6.0, abs=1e-12)
+        value = verify_bound(canonical_i26(0.0), 500).oracle_value
+        assert value == pytest.approx(6.0, abs=1e-12)
 
     def test_i26_below_quantum(self):
         phi = math.radians(36.8699)
-        value = oracle_max(canonical_i26(phi), 500)
+        value = verify_bound(canonical_i26(phi), 500).oracle_value
         assert value <= 6.0 + 1e-9
         assert value < quantum_value(KINDS["i26"], phi, 1.0)
 
     def test_i28_below_quantum(self):
         phi = math.radians(44.4153)
-        value = oracle_max(canonical_i28(phi), 500)
+        value = verify_bound(canonical_i28(phi), 500).oracle_value
         assert value <= 8.0 + 1e-9
         assert value < quantum_value(KINDS["i28"], phi, 1.0)
 
     def test_grid_size_validation(self):
         with pytest.raises(ValueError):
-            oracle_max(canonical_i26(1.0), 10)
+            verify_bound(canonical_i26(1.0), 10)
 
     def test_refinement_improves(self):
         config = canonical_i26(math.radians(36.87))
-        coarse = oracle_max(config, 100)
-        fine = oracle_max(config, 400)
+        coarse = verify_bound(config, 100).oracle_value
+        fine = verify_bound(config, 400).oracle_value
         # grids are not strictly nested; allow tiny slack
         assert fine >= coarse - 1e-6
 
