@@ -14,6 +14,7 @@ start without loading numpy.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -165,28 +166,57 @@ def _fmt(x) -> str:
 
 
 def _write_table(rows, columns, fmt: str, out_path: str):
+    """Write a non-empty iterable of rows as CSV or as one JSON list.
+
+    Rows are formatted and written one at a time, so memory does not grow
+    with their number; the bytes equal those of joining every row first.
+    The first row is computed before ``out_path`` is opened, so an error
+    while computing it leaves no output.
+    """
+    rows = iter(rows)
+    rows = itertools.chain([next(rows)], rows)
     if fmt == "json":
-        text = json.dumps([dict(zip(columns, row)) for row in rows], indent=2) + "\n"
+        chunks = _json_list_chunks(dict(zip(columns, row)) for row in rows)
     else:
-        lines = [",".join(columns)]
-        lines += [",".join(_fmt(cell) for cell in row) for row in rows]
-        text = "\n".join(lines) + "\n"
-    _write_text(text, out_path)
+        header = [",".join(columns) + "\n"]
+        body = (",".join(_fmt(cell) for cell in row) + "\n" for row in rows)
+        chunks = itertools.chain(header, body)
+    _write_chunks(chunks, out_path)
+
+
+def _json_list_chunks(items):
+    """The text of json.dumps(list(items), indent=2) + "\n", item by item."""
+    separator = "[\n  "
+    for item in items:
+        # each item sits one indent level inside the list
+        yield separator + json.dumps(item, indent=2).replace("\n", "\n  ")
+        separator = ",\n  "
+    yield "\n]\n"
 
 
 def _write_text(text: str, out_path: str):
-    if out_path:
-        try:
-            with open(out_path, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise IOError(f"cannot write {out_path}: {exc}") from exc
-    else:
-        sys.stdout.write(text)
+    _write_chunks([text], out_path)
+
+
+def _write_chunks(chunks, out_path: str):
+    if not out_path:
+        sys.stdout.writelines(chunks)
+        return
+    try:
+        with open(out_path, "w") as fh:
+            fh.writelines(chunks)
+    except OSError as exc:
+        raise IOError(f"cannot write {out_path}: {exc}") from exc
 
 
 def cmd_sweep(args) -> int:
     config = RunConfig.load(args)
+    _write_table(_sweep_rows(config), SWEEP_COLUMNS, config.format, config.out)
+    return 0
+
+
+def _sweep_rows(config: RunConfig):
+    """Yield the rows of a phi sweep one step at a time."""
     kind = inequalities.KINDS[config.inequality]
 
     if config.shots > 0:
@@ -197,7 +227,6 @@ def cmd_sweep(args) -> int:
         tensor = qstate.correlation_tensor(state)
         readout = config.readout_model()
 
-    rows = []
     for i in range(config.steps):
         if config.steps == 1:
             phi_deg = config.phi_start
@@ -208,20 +237,18 @@ def cmd_sweep(args) -> int:
         phi = math.radians(phi_deg)
         analytic = inequalities.quantum_value(kind, phi, config.visibility)
         if config.shots == 0:
-            rows.append(
-                (
-                    phi_deg,
-                    analytic,
-                    kind.bound,
-                    None,
-                    None,
-                    None,
-                    None,
-                    None,
-                    None,
-                    analytic > kind.bound,
-                    None,
-                )
+            yield (
+                phi_deg,
+                analytic,
+                kind.bound,
+                None,
+                None,
+                None,
+                None,
+                None,
+                None,
+                analytic > kind.bound,
+                None,
             )
             continue
         settings = geometry.adapt_to_state(tensor, canonical(phi))
@@ -239,23 +266,19 @@ def cmd_sweep(args) -> int:
             value, sigma = result.corrected.value, result.sigma_corrected
         else:
             value, sigma = result.raw.value, result.sigma_raw
-        rows.append(
-            (
-                phi_deg,
-                analytic,
-                kind.bound,
-                result.raw.value,
-                result.sigma_raw,
-                result.corrected.value if config.correct else None,
-                result.sigma_corrected if config.correct else None,
-                result.sigmas_violation_raw,
-                result.sigmas_violation_corrected if config.correct else None,
-                value > kind.bound,
-                abs(value - kind.bound) < 3.0 * sigma,
-            )
+        yield (
+            phi_deg,
+            analytic,
+            kind.bound,
+            result.raw.value,
+            result.sigma_raw,
+            result.corrected.value if config.correct else None,
+            result.sigma_corrected if config.correct else None,
+            result.sigmas_violation_raw,
+            result.sigmas_violation_corrected if config.correct else None,
+            value > kind.bound,
+            abs(value - kind.bound) < 3.0 * sigma,
         )
-    _write_table(rows, SWEEP_COLUMNS, config.format, config.out)
-    return 0
 
 
 def cmd_verify(args) -> int:

@@ -6,6 +6,14 @@ with ``simulate`` as step 0.  Seeds and steps lie in [0, 2**32), one word
 each, so no two streams coincide and results do not depend on execution
 order or platform.
 
+An experiment handles its S settings as stacked arrays: settings n and m
+as (S, 3), probabilities and counts as (S, 4), one row per setting in
+setting order.  ``joint_probabilities``, ``apply_confusion``,
+``_correct_readout`` and ``estimate_correlation`` each take either one row
+or the whole stack, and row i of a stacked call has the bits of the call on
+row i alone.  Only the draws loop over settings: each setting still gets
+its own generator from the rule above and one ``multinomial`` call.
+
 Readout confusion is applied to the outcome probabilities before
 sampling; this is equivalent in distribution to flipping sampled
 outcomes and exactly reproducible.
@@ -35,9 +43,9 @@ def _check_confusion_2x2(r: np.ndarray, name: str) -> np.ndarray:
     r = np.array(r, dtype=float)
     if r.shape != (2, 2):
         raise ValueError(f"{name} must be 2x2, got shape {r.shape}")
-    if np.any(r < 0.0) or np.any(r > 1.0):
+    if not np.all((r >= 0.0) & (r <= 1.0)):
         raise ValueError(f"{name} entries must lie in [0, 1]")
-    if np.max(np.abs(r.sum(axis=0) - 1.0)) > 1e-12:
+    if not np.max(np.abs(r.sum(axis=0) - 1.0)) <= 1e-12:
         raise ValueError(f"{name} columns must sum to 1")
     r.setflags(write=False)
     return r
@@ -85,14 +93,25 @@ class ReadoutModel:
         return float(np.linalg.cond(self._joint))
 
 
+def _stack_of_4(x, name: str) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.ndim not in (1, 2) or x.shape[-1] != 4:
+        raise ValueError(f"expected 4 {name} or a stack of them, got shape {x.shape}")
+    return x
+
+
 def apply_confusion(model: ReadoutModel, p) -> np.ndarray:
-    """Reported-outcome distribution R p for true distribution p."""
-    p = np.asarray(p, dtype=float)
-    if p.shape != (4,):
-        raise ValueError(f"expected 4 probabilities, got shape {p.shape}")
-    if abs(p.sum() - 1.0) > 1e-9 or np.any(p < -1e-12):
+    """Reported-outcome distribution R p for true distribution p.
+
+    p is one distribution, shape (4,), or S of them stacked as (S, 4); row
+    i of the result has the bits of the call on row i alone.
+    """
+    p = _stack_of_4(p, "probabilities")
+    # "not within tolerance" rather than "beyond it", so that NaN fails
+    if not (np.abs(p.sum(axis=-1) - 1.0).max() <= 1e-9 and p.min() >= -1e-12):
         raise ValueError("probabilities must be nonnegative and sum to 1")
-    return model.joint() @ p
+    # R @ p[:, None] per row; p @ R.T on the stack would round differently
+    return (model.joint() @ p[..., None])[..., 0]
 
 
 def correct_readout(model: ReadoutModel, p_measured) -> np.ndarray:
@@ -102,32 +121,48 @@ def correct_readout(model: ReadoutModel, p_measured) -> np.ndarray:
 
 
 def _correct_readout(model: ReadoutModel, p_measured):
-    p_measured = np.asarray(p_measured, dtype=float)
-    if p_measured.shape != (4,):
-        raise ValueError(f"expected 4 probabilities, got shape {p_measured.shape}")
-    r = model.joint()
+    """(corrected distribution, clipped) for one (4,) or an (S, 4) stack.
+
+    ``clipped`` is a bool, or a bool array with one entry per row, that says
+    whether the inverted distribution had a negative entry.
+    """
+    p_measured = _stack_of_4(p_measured, "probabilities")
     cond = model._condition_number
-    if not np.isfinite(cond) or cond > MAX_CONDITION_NUMBER:
+    if not cond <= MAX_CONDITION_NUMBER:
         raise ConditioningError(
             f"confusion matrix condition number {cond:.3g} exceeds {MAX_CONDITION_NUMBER:.0e}"
         )
-    p = np.linalg.solve(r, p_measured)
-    clipped = bool(np.any(p < -1e-12))
+    # one LAPACK solve per row: a single multi-column solve rounds differently
+    p = np.linalg.solve(model.joint(), p_measured[..., None])[..., 0]
+    clipped = (p < -1e-12).any(axis=-1)
     p = np.clip(p, 0.0, None)
-    total = p.sum()
-    if total <= 0.0:
+    total = p.sum(axis=-1, keepdims=True)
+    if not total.min() > 0.0:
         raise ValueError("corrected probabilities sum to zero")
+    if p.ndim == 1:
+        clipped = bool(clipped)
     return p / total, clipped
 
 
+def _sigma(c, shots):
+    """Binomial standard error sqrt((1 - C^2)/N) of correlation estimates C."""
+    return np.sqrt(np.maximum(1.0 - c * c, 0.0) / shots)
+
+
 def estimate_correlation(counts):
-    """(C_hat, sigma) from outcome counts; sigma = sqrt((1 - C^2)/N)."""
-    counts = np.asarray(counts)
-    total = int(counts.sum())
-    if total < 1:
+    """(C_hat, sigma) from outcome counts; sigma = sqrt((1 - C^2)/N).
+
+    One setting's counts, shape (4,), give two floats; an (S, 4) stack gives
+    two (S,) arrays whose entry i has the bits of the call on row i alone.
+    """
+    counts = _stack_of_4(counts, "counts")
+    total = counts.sum(axis=-1).astype(np.int64)
+    if not total.min() >= 1:
         raise ValueError("counts must sum to at least 1")
-    c_hat = float(counts[0] + counts[3] - counts[1] - counts[2]) / total
-    sigma = math.sqrt(max(1.0 - c_hat * c_hat, 0.0) / total)
+    c_hat = (counts[..., 0] + counts[..., 3] - counts[..., 1] - counts[..., 2]) / total
+    sigma = _sigma(c_hat, total)
+    if counts.ndim == 1:
+        return float(c_hat), float(sigma)
     return c_hat, sigma
 
 
@@ -209,7 +244,8 @@ def run_experiment(
     Each setting draws its outcome counts, ordered (++, +-, -+, --), from
     SeedSequence([seed, setting_index, step]); ``simulate`` is step 0 and
     sweep step k is step k.  ``seed`` and ``step`` must lie in [0, 2**32).
-    The confusion model is folded into the sampling distribution.
+    The confusion model is folded into the sampling distribution.  The
+    records' counts are the rows of one read-only (S, 4) array.
     """
     if shots_per_setting < 1:
         raise ValueError(f"shots must be >= 1, got {shots_per_setting}")
@@ -222,36 +258,41 @@ def run_experiment(
         raise ValueError(
             f"config has {len(config.pairs)} pairs but {kind.tag} needs {kind.num_pairs}"
         )
-    records = []
-    clip_events = 0
-    for setting_id, alice_idx, n, m in config.settings():
-        p_true = joint_probabilities(state, n, m)
-        p_phys = apply_confusion(readout, p_true)
+    settings = config.settings()
+    n = np.array([setting[2] for setting in settings])
+    m = np.array([setting[3] for setting in settings])
+    p_phys = apply_confusion(readout, joint_probabilities(state, n, m))
+    p_phys /= p_phys.sum(axis=1, keepdims=True)
+    counts = np.empty(p_phys.shape, dtype=np.int64)
+    for row, (setting_id, _, _, _) in enumerate(settings):
         rng = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence([seed, setting_id, step]))
         )
-        counts = rng.multinomial(shots_per_setting, p_phys / p_phys.sum())
-        c_raw, sigma_raw = estimate_correlation(counts)
-        c_corr = sigma_corr = None
-        if correct:
-            freqs = counts / shots_per_setting
-            p_corr, clipped = _correct_readout(readout, freqs)
-            clip_events += int(clipped)
-            c_corr = float(p_corr[0] + p_corr[3] - p_corr[1] - p_corr[2])
-            sigma_corr = math.sqrt(max(1.0 - c_corr * c_corr, 0.0) / shots_per_setting)
-        records.append(
-            SettingRecord(
-                setting_id=setting_id,
-                alice_index=alice_idx,
-                n=n,
-                m=m,
-                counts=counts,
-                c_raw=c_raw,
-                sigma_raw=sigma_raw,
-                c_corrected=c_corr,
-                sigma_corrected=sigma_corr,
-            )
+        counts[row] = rng.multinomial(shots_per_setting, p_phys[row])
+    # the records' count rows are views of this array
+    counts.setflags(write=False)
+    c_raw, sigma_raw = (column.tolist() for column in estimate_correlation(counts))
+    c_corr = sigma_corr = [None] * len(settings)
+    clip_events = 0
+    if correct:
+        p_corr, clipped = _correct_readout(readout, counts / shots_per_setting)
+        clip_events = int(clipped.sum())
+        c = p_corr[:, 0] + p_corr[:, 3] - p_corr[:, 1] - p_corr[:, 2]
+        c_corr, sigma_corr = c.tolist(), _sigma(c, shots_per_setting).tolist()
+    records = [
+        SettingRecord(
+            setting_id=setting_id,
+            alice_index=alice_idx,
+            n=n_i,
+            m=m_i,
+            counts=counts[row],
+            c_raw=c_raw[row],
+            sigma_raw=sigma_raw[row],
+            c_corrected=c_corr[row],
+            sigma_corrected=sigma_corr[row],
         )
+        for row, (setting_id, alice_idx, n_i, m_i) in enumerate(settings)
+    ]
 
     def assemble(values, sigmas):
         pairs = [(values[2 * i], values[2 * i + 1]) for i in range(kind.num_pairs)]
@@ -264,14 +305,10 @@ def run_experiment(
             return ineq, sigma, nsig
         return ineq, sigma, sigma_violation(ineq.value, sigma, kind)
 
-    raw, sigma_raw_total, nsig_raw = assemble(
-        [r.c_raw for r in records], [r.sigma_raw for r in records]
-    )
+    raw, sigma_raw_total, nsig_raw = assemble(c_raw, sigma_raw)
     corrected = sigma_corr_total = nsig_corr = None
     if correct:
-        corrected, sigma_corr_total, nsig_corr = assemble(
-            [r.c_corrected for r in records], [r.sigma_corrected for r in records]
-        )
+        corrected, sigma_corr_total, nsig_corr = assemble(c_corr, sigma_corr)
     return ExperimentResult(
         kind=kind,
         phi=config.phi,

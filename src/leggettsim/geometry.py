@@ -100,7 +100,7 @@ def make_pair(u, e_hat, phi: float) -> SettingPair:
     """Build the setting pair with bisector u, difference direction e_hat."""
     u = _check_unit(u, "u")
     e_hat = _check_unit(e_hat, "e_hat")
-    if abs(float(u @ e_hat)) > ORTHO_TOL:
+    if not abs(float(u @ e_hat)) <= ORTHO_TOL:
         raise ValueError(f"u and e_hat must be orthogonal, dot = {float(u @ e_hat)}")
     if not 0.0 <= phi <= math.pi:
         raise ValueError(f"phi must lie in [0, pi], got {phi}")

@@ -7,6 +7,7 @@ Bob (electron spin) second; spin-up maps to 0 and spin-down to 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,11 +53,13 @@ class TwoQubitState:
         m = np.array(self.matrix, dtype=complex)
         if m.shape != (4, 4):
             raise InvalidStateError(f"expected 4x4 matrix, got shape {m.shape}")
-        if np.max(np.abs(m - m.conj().T)) > HERMITIAN_TOL:
+        # each test is written "not ok" so that NaN fails it
+        if not np.max(np.abs(m - m.conj().T)) <= HERMITIAN_TOL:
             raise InvalidStateError("matrix is not Hermitian to 1e-12")
-        if abs(np.trace(m).real - 1.0) > TRACE_TOL or abs(np.trace(m).imag) > TRACE_TOL:
+        trace = np.trace(m)
+        if not (abs(trace.real - 1.0) <= TRACE_TOL and abs(trace.imag) <= TRACE_TOL):
             raise InvalidStateError("trace differs from 1 by more than 1e-12")
-        if np.linalg.eigvalsh(m).min() < -PSD_TOL:
+        if not np.linalg.eigvalsh(m).min() >= -PSD_TOL:
             raise InvalidStateError("matrix has an eigenvalue below -1e-10")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -143,13 +146,42 @@ def _real_trace(m: np.ndarray) -> float:
     return tr.real
 
 
+def _rowdot(x: np.ndarray, y: np.ndarray):
+    """Dot product of x with y along the last axis, row by row.
+
+    x is (3,) or (S, 3); y is (3,) or shaped like x.  Each row's bits equal
+    those of ``float(x_i @ y_i)``; plain ``x @ y`` on a stack does not
+    guarantee that.
+    """
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
 def _check_unit(vec, name: str) -> np.ndarray:
+    """``vec`` as floats, checked to be one unit 3-vector."""
     v = np.asarray(vec, dtype=float)
     if v.shape != (3,):
         raise ValueError(f"{name} must be a 3-vector, got shape {v.shape}")
-    if abs(np.linalg.norm(v) - 1.0) > UNIT_TOL:
-        raise ValueError(f"{name} must be a unit vector, |{name}| = {np.linalg.norm(v)}")
+    # the bits of np.linalg.norm(v), without its overhead
+    _check_norms([math.sqrt(float(v @ v))], name)
     return v
+
+
+def _check_unit_rows(vecs, name: str) -> np.ndarray:
+    """``vecs`` as floats: one unit 3-vector, or a stack of them, shape (S, 3)."""
+    v = np.asarray(vecs, dtype=float)
+    if v.ndim != 2:
+        return _check_unit(v, name)
+    if v.shape[1] != 3:
+        raise ValueError(f"{name} must be a stack of 3-vectors, got shape {v.shape}")
+    _check_norms(np.sqrt(_rowdot(v, v)).tolist(), name)
+    return v
+
+
+def _check_norms(norms, name: str):
+    for norm in norms:
+        # "not within tolerance" rather than "beyond it", so that NaN fails
+        if not abs(norm - 1.0) <= UNIT_TOL:
+            raise ValueError(f"{name} must be a unit vector, |{name}| = {norm}")
 
 
 def correlation(state: TwoQubitState, n, m) -> float:
@@ -160,21 +192,29 @@ def correlation(state: TwoQubitState, n, m) -> float:
     return float(np.clip(value, -1.0, 1.0))
 
 
+# outcome signs (alpha, beta, alpha * beta) in the order (++, +-, -+, --)
+_ALPHA = np.array([1.0, 1.0, -1.0, -1.0])
+_BETA = np.array([1.0, -1.0, 1.0, -1.0])
+_ALPHA_BETA = _ALPHA * _BETA
+
+
 def joint_probabilities(state: TwoQubitState, n, m) -> np.ndarray:
-    """Outcome probabilities P(alpha, beta) in order (++, +-, -+, --)."""
-    n = _check_unit(n, "n")
-    m = _check_unit(m, "m")
+    """Outcome probabilities P(alpha, beta) in order (++, +-, -+, --).
+
+    One setting, n and m of shape (3,), gives shape (4,).  S settings
+    stacked as (S, 3) arrays give (S, 4), whose row i has the bits of the
+    call on row i alone.
+    """
+    n = _check_unit_rows(n, "n")
+    m = _check_unit_rows(m, "m")
+    if n.shape != m.shape:
+        raise ValueError(f"n and m must have one shape, got {n.shape} and {m.shape}")
     tensor = _stored_tensor(state)
-    an = float(tensor.a @ n)
-    bm = float(tensor.b @ m)
-    ntm = float(n @ tensor.t @ m)
-    probs = np.array(
-        [
-            0.25 * (1 + alpha * an + beta * bm + alpha * beta * ntm)
-            for alpha in (+1, -1)
-            for beta in (+1, -1)
-        ]
-    )
-    if probs.min() < -1e-12:
-        raise InvalidStateError(f"negative joint probability {probs.min()}")
+    an = _rowdot(n, tensor.a)[..., None]
+    bm = _rowdot(m, tensor.b)[..., None]
+    ntm = _rowdot(n @ tensor.t, m)[..., None]
+    probs = 0.25 * (1.0 + _ALPHA * an + _BETA * bm + _ALPHA_BETA * ntm)
+    lowest = probs.min()
+    if not lowest >= -1e-12:
+        raise InvalidStateError(f"negative joint probability {lowest}")
     return np.clip(probs, 0.0, None)

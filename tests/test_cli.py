@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -274,6 +278,59 @@ class TestSweep:
         assert code == 3
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("out", [False, True])
+    def test_step0_error_writes_nothing(self, capsys, tmp_path, out):
+        # fidelities just above 1/2 make R nearly singular: the first row fails
+        path = tmp_path / "out.csv"
+        argv = ["sweep", "--shots", "10", "--steps", "3", "--correct"]
+        argv += ["--f0-nuclear", "0.5000001", "--f1-nuclear", "0.5000001"]
+        if out:
+            argv += ["--out", str(path)]
+        code, stdout, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error: confusion matrix condition number")
+        assert stdout == ""
+        assert not path.exists()
+
+    @pytest.mark.parametrize("shots", ["0", "500"])
+    def test_json_equals_one_document(self, capsys, shots):
+        argv = ("sweep", "--shots", shots, "--steps", "4", "--correct", *READOUT_ARGS)
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+        assert len(json.loads(out)) == 4
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs Linux /proc")
+    def test_memory_bounded_in_steps(self):
+        # rows are written as they are made, so peak RSS does not grow with
+        # the number of steps.  The child reads its peak RSS from VmHWM:
+        # ru_maxrss of a child started from this process would start at
+        # this process's own, larger peak.
+        child = (
+            "import sys\n"
+            "from pathlib import Path\n"
+            "from leggettsim.cli import main\n"
+            "code = main(['sweep', '--shots', '0', '--steps', sys.argv[1],"
+            " '--out', sys.argv[2]])\n"
+            "status = Path('/proc/self/status').read_text().split('VmHWM:')[1]\n"
+            "print(code, status.split()[0])\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        peak_kb = {}
+        for steps in (1000, 100000):
+            proc = subprocess.run(
+                [sys.executable, "-c", child, str(steps), os.devnull],
+                env=dict(os.environ, PYTHONPATH=path),
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            code, peak_kb[steps] = (int(x) for x in proc.stdout.split())
+            assert code == 0
+        assert peak_kb[100000] - peak_kb[1000] < 4 * 1024, peak_kb
+
 
 class TestVerify:
     def test_pass(self, capsys):
@@ -362,6 +419,24 @@ class TestSimulate:
         code, _, err = run(capsys, "simulate", "--phi", "40", "--shots", "0")
         assert code == 2
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("flag", ["--visibility", "--f0-nuclear", "--f1-electron"])
+    def test_nan_flag(self, capsys, flag):
+        code, out, err = run(capsys, "simulate", "--phi", "40", "--shots", "100", flag, "nan")
+        assert code == 2
+        assert err.startswith("error:")
+        assert out == ""
+
+    def test_nan_config(self, capsys, tmp_path):
+        # json.load accepts the NaN literal
+        config = tmp_path / "config.json"
+        config.write_text('{"visibility": NaN}')
+        code, out, err = run(
+            capsys, "simulate", "--phi", "40", "--shots", "100", "--config", str(config)
+        )
+        assert code == 2
+        assert err.startswith("error: visibility:")
+        assert out == ""
 
     def test_bad_fidelity(self, capsys):
         code, _, err = run(

@@ -3,17 +3,27 @@ import math
 import numpy as np
 import pytest
 
+from leggettsim import qstate
 from leggettsim.expsim import (
     ConditioningError,
+    ExperimentResult,
     ReadoutModel,
+    SettingRecord,
+    _correct_readout,
     apply_confusion,
     correct_readout,
     estimate_correlation,
     run_experiment,
 )
-from leggettsim.geometry import adapt_to_state, canonical_i26
-from leggettsim.inequalities import I26, quantum_value
-from leggettsim.qstate import bell_state, correlation_tensor, joint_probabilities, werner
+from leggettsim.geometry import SettingsConfig, adapt_to_state, canonical_i26, make_pair
+from leggettsim.inequalities import I26, I28, evaluate, quantum_value, sigma_violation
+from leggettsim.qstate import (
+    TwoQubitState,
+    bell_state,
+    correlation_tensor,
+    joint_probabilities,
+    werner,
+)
 
 PHI = math.radians(36.87)
 
@@ -78,6 +88,19 @@ class TestConfusion:
         with pytest.raises(ValueError):
             apply_confusion(ReadoutModel.identity(), [0.5, 0.5, 0.5, 0.5])
 
+    @pytest.mark.parametrize(
+        "p", [[np.nan, 0.0, 0.0, 1.0], [[0.25] * 4, [np.nan, 0.5, 0.5, 0.0]]]
+    )
+    def test_nan_rejected(self, p):
+        with pytest.raises(ValueError, match="sum to 1"):
+            apply_confusion(ReadoutModel.identity(), p)
+
+    def test_nan_model_rejected(self):
+        with pytest.raises(ValueError):
+            ReadoutModel(r_a=np.array([[np.nan, 0.0], [0.0, 1.0]]), r_b=np.eye(2))
+        with pytest.raises(ValueError):
+            ReadoutModel.from_fidelities(np.nan, 1.0, 1.0, 1.0)
+
 
 class TestCorrectReadout:
     def test_identity(self):
@@ -89,6 +112,10 @@ class TestCorrectReadout:
         p_true = np.array([0.5, 0.0, 0.0, 0.5])
         recovered = correct_readout(model, apply_confusion(model, p_true))
         assert np.allclose(recovered, p_true, atol=1e-10)
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="sum to zero"):
+            correct_readout(ReadoutModel.identity(), [np.nan, 0.0, 0.0, 1.0])
 
     def test_singular_model(self):
         model = ReadoutModel.from_fidelities(0.5, 0.5, 0.5, 0.5)
@@ -294,3 +321,173 @@ class TestRunExperiment:
             from leggettsim.inequalities import I28
 
             run_experiment(state, adapted_config(state), I28, 100, seed=0)
+
+
+# --- the per-setting loop the stacked run_experiment replaced -------------
+#
+# Kept as the bit-level reference: one setting at a time, with the
+# one-setting helper bodies written out as they were.
+
+
+def reference_joint_probabilities(state, n, m):
+    tensor = qstate._stored_tensor(state)
+    an = float(tensor.a @ n)
+    bm = float(tensor.b @ m)
+    ntm = float(n @ tensor.t @ m)
+    probs = np.array(
+        [
+            0.25 * (1 + alpha * an + beta * bm + alpha * beta * ntm)
+            for alpha in (+1, -1)
+            for beta in (+1, -1)
+        ]
+    )
+    return np.clip(probs, 0.0, None)
+
+
+def reference_correct_readout(model, p_measured):
+    p = np.linalg.solve(model.joint(), p_measured)
+    clipped = bool(np.any(p < -1e-12))
+    p = np.clip(p, 0.0, None)
+    return p / p.sum(), clipped
+
+
+def reference_estimate_correlation(counts):
+    total = int(counts.sum())
+    c_hat = float(counts[0] + counts[3] - counts[1] - counts[2]) / total
+    return c_hat, math.sqrt(max(1.0 - c_hat * c_hat, 0.0) / total)
+
+
+def reference_experiment(state, config, kind, shots, seed, readout, correct, step):
+    records = []
+    clip_events = 0
+    for setting_id, alice_idx, n, m in config.settings():
+        p_phys = readout.joint() @ reference_joint_probabilities(state, n, m)
+        rng = np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence([seed, setting_id, step]))
+        )
+        counts = rng.multinomial(shots, p_phys / p_phys.sum())
+        c_raw, sigma_raw = reference_estimate_correlation(counts)
+        c_corr = sigma_corr = None
+        if correct:
+            p_corr, clipped = reference_correct_readout(readout, counts / shots)
+            clip_events += int(clipped)
+            c_corr = float(p_corr[0] + p_corr[3] - p_corr[1] - p_corr[2])
+            sigma_corr = math.sqrt(max(1.0 - c_corr * c_corr, 0.0) / shots)
+        records.append(
+            SettingRecord(setting_id, alice_idx, n, m, counts, c_raw, sigma_raw, c_corr, sigma_corr)
+        )
+
+    def assemble(values, sigmas):
+        pairs = [(values[2 * i], values[2 * i + 1]) for i in range(kind.num_pairs)]
+        ineq = evaluate(kind, config.phi, pairs)
+        sigma = math.sqrt(sum(s * s for s in sigmas))
+        if sigma == 0.0:
+            excess = ineq.value - kind.bound
+            nsig = math.inf if excess > 0 else (-math.inf if excess < 0 else 0.0)
+            return ineq, sigma, nsig
+        return ineq, sigma, sigma_violation(ineq.value, sigma, kind)
+
+    raw = assemble([r.c_raw for r in records], [r.sigma_raw for r in records])
+    corrected = (None, None, None)
+    if correct:
+        corrected = assemble(
+            [r.c_corrected for r in records], [r.sigma_corrected for r in records]
+        )
+    return ExperimentResult(
+        kind, config.phi, shots, seed, tuple(records), *raw, *corrected, clip_events, config
+    )
+
+
+def random_unit(rng):
+    v = rng.normal(size=3)
+    return v / np.linalg.norm(v)
+
+
+def random_state(rng):
+    # a random full-rank state: nonzero marginals, unlike the Werner states
+    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    rho = a @ a.conj().T
+    return TwoQubitState(rho / np.trace(rho).real)
+
+
+def random_config(rng, kind):
+    phi = float(rng.uniform(0.0, math.pi))
+    pairs = []
+    for _ in range(kind.num_pairs):
+        u = random_unit(rng)
+        e_hat = np.cross(u, random_unit(rng))
+        pairs.append(make_pair(u, e_hat / np.linalg.norm(e_hat), phi))
+    pairing = tuple(int(i) for i in rng.integers(0, 2, size=kind.num_pairs))
+    alice = (random_unit(rng), random_unit(rng))
+    return SettingsConfig(alice=alice, pairs=tuple(pairs), pairing=pairing, kind=kind.tag)
+
+
+def random_readout(rng):
+    return ReadoutModel.from_fidelities(*rng.uniform(0.75, 1.0, size=4))
+
+
+class TestStackedMatchesReference:
+    def test_experiments_bit_identical(self):
+        rng = np.random.default_rng(2024)
+        total_clips = 0
+        for trial in range(40):
+            kind = (I26, I28)[trial % 2]
+            state, config = random_state(rng), random_config(rng, kind)
+            readout = random_readout(rng)
+            # few shots, so that correction clips
+            shots = int(rng.integers(1, 60))
+            seed, step = (int(x) for x in rng.integers(0, 2**32, size=2))
+            for correct in (False, True):
+                args = (state, config, kind, shots, seed, readout, correct, step)
+                ref = reference_experiment(*args)
+                got = run_experiment(*args)
+                for a, b in zip(got.settings, ref.settings):
+                    assert np.array_equal(a.counts, b.counts)
+                assert got.to_json_dict() == ref.to_json_dict()
+                assert got.clip_events == ref.clip_events
+                total_clips += got.clip_events
+        assert total_clips > 0
+
+    def test_stacked_rows_equal_single_calls(self):
+        rng = np.random.default_rng(77)
+        for _ in range(20):
+            state, readout = random_state(rng), random_readout(rng)
+            n = np.array([random_unit(rng) for _ in range(8)])
+            m = np.array([random_unit(rng) for _ in range(8)])
+            probs = joint_probabilities(state, n, m)
+            reported = apply_confusion(readout, probs)
+            counts = np.array([rng.multinomial(30, p / p.sum()) for p in reported])
+            corrected, clipped = _correct_readout(readout, counts / 30)
+            c_hat, sigma = estimate_correlation(counts)
+            for i in range(8):
+                row = joint_probabilities(state, n[i], m[i])
+                assert row.tobytes() == probs[i].tobytes()
+                assert row.tobytes() == reference_joint_probabilities(state, n[i], m[i]).tobytes()
+                row = apply_confusion(readout, probs[i])
+                assert row.tobytes() == reported[i].tobytes()
+                assert row.tobytes() == (readout.joint() @ probs[i]).tobytes()
+                row, row_clipped = _correct_readout(readout, counts[i] / 30)
+                assert row.tobytes() == corrected[i].tobytes()
+                assert row_clipped is bool(clipped[i])
+                ref_row, ref_clipped = reference_correct_readout(readout, counts[i] / 30)
+                assert row.tobytes() == ref_row.tobytes() and row_clipped == ref_clipped
+                single = estimate_correlation(counts[i])
+                assert single == (float(c_hat[i]), float(sigma[i]))
+                assert single == reference_estimate_correlation(counts[i])
+                assert type(single[0]) is float and type(single[1]) is float
+
+    def test_single_call_shapes(self):
+        state, readout = random_state(np.random.default_rng(3)), ReadoutModel.identity()
+        assert joint_probabilities(state, [0, 0, 1], [1, 0, 0]).shape == (4,)
+        assert apply_confusion(readout, [0.25] * 4).shape == (4,)
+        p, clipped = _correct_readout(readout, [0.25] * 4)
+        assert p.shape == (4,) and clipped is False
+        assert joint_probabilities(state, np.eye(3), np.eye(3)).shape == (3, 4)
+
+    def test_counts_read_only(self):
+        state = werner(0.9)
+        result = run_experiment(state, adapted_config(state), I26, 100, seed=1, correct=True)
+        for rec in result.settings:
+            assert not rec.counts.flags.writeable
+            with pytest.raises(ValueError):
+                rec.counts[0] += 1

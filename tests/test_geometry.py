@@ -70,6 +70,12 @@ class TestMakePair:
         with pytest.raises(ValueError):
             make_pair(Z, X, 3.5)
 
+    @pytest.mark.parametrize("which", ["u", "e_hat"])
+    def test_nan_rejected(self, which):
+        vectors = {"u": Z, "e_hat": X, which: np.array([np.nan, 0.0, 0.0])}
+        with pytest.raises(ValueError, match="unit vector"):
+            make_pair(vectors["u"], vectors["e_hat"], 0.5)
+
     @given(unit_vectors(), st.floats(1e-6, math.pi - 1e-6))
     @settings(max_examples=50)
     def test_reconstruction(self, u, phi):

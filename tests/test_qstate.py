@@ -9,6 +9,7 @@ from conftest import unit_vectors
 from leggettsim import qstate
 from leggettsim.qstate import (
     BELL_KINDS,
+    UNIT_TOL,
     CorrelationTensor,
     InvalidStateError,
     TwoQubitState,
@@ -173,6 +174,55 @@ class TestJointProbabilities:
         assert p.sum() == pytest.approx(1.0, abs=1e-12)
         signed = p[0] - p[1] - p[2] + p[3]
         assert signed == pytest.approx(correlation(state, n, m), abs=1e-12)
+
+
+class TestStacked:
+    def test_unit_check_per_row(self):
+        rows = np.array([X, Y, Z])
+        assert qstate._check_unit_rows(rows, "n").shape == (3, 3)
+        rows[1] *= 1.0 + 10 * UNIT_TOL
+        with pytest.raises(ValueError, match=r"\|n\| = 1.00000001"):
+            qstate._check_unit_rows(rows, "n")
+
+    @pytest.mark.parametrize("shape", [(), (4,), (2, 2), (1, 2, 3)])
+    def test_unit_check_shapes(self, shape):
+        with pytest.raises(ValueError, match="3-vector"):
+            qstate._check_unit_rows(np.ones(shape), "n")
+
+    def test_single_vector_check_rejects_stacks(self):
+        with pytest.raises(ValueError, match="must be a 3-vector"):
+            qstate._check_unit(np.array([X, Y]), "u")
+
+    def test_mismatched_stacks(self):
+        with pytest.raises(ValueError, match="one shape"):
+            joint_probabilities(werner(0.5), np.array([X, Y]), Z)
+
+
+class TestNanRejected:
+    def test_unit_vector(self):
+        with pytest.raises(ValueError, match="unit vector"):
+            qstate._check_unit([np.nan, 0.0, 0.0], "n")
+        with pytest.raises(ValueError, match="unit vector"):
+            qstate._check_unit_rows([X, [0.0, np.nan, 0.0]], "n")
+
+    def test_setting(self):
+        with pytest.raises(ValueError):
+            joint_probabilities(werner(0.5), [np.nan, 0.0, 0.0], Z)
+
+    def test_state(self):
+        m = np.eye(4, dtype=complex) / 4
+        m[1, 1] = np.nan
+        with pytest.raises(InvalidStateError):
+            TwoQubitState(m)
+
+    def test_probabilities(self):
+        # a tensor no valid state has, so that only the probability check
+        # stands between it and the caller
+        state = werner(0.5)
+        nan = np.full(3, np.nan)
+        object.__setattr__(state, "_tensor", CorrelationTensor(t=np.eye(3), a=nan, b=nan))
+        with pytest.raises(InvalidStateError, match="negative joint probability nan"):
+            joint_probabilities(state, Z, Z)
 
 
 class TestStateValidation:
