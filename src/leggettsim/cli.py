@@ -218,14 +218,8 @@ def cmd_sweep(args) -> int:
 def _sweep_rows(config: RunConfig):
     """Yield the rows of a phi sweep one step at a time."""
     kind = inequalities.KINDS[config.inequality]
-
     if config.shots > 0:
-        from . import expsim, geometry, qstate
-
-        canonical = geometry.CANONICAL[kind.tag]
-        state = qstate.werner(config.visibility, config.bell)
-        tensor = qstate.correlation_tensor(state)
-        readout = config.readout_model()
+        experiment = _experiment(config)
 
     for i in range(config.steps):
         if config.steps == 1:
@@ -251,17 +245,7 @@ def _sweep_rows(config: RunConfig):
                 None,
             )
             continue
-        settings = geometry.adapt_to_state(tensor, canonical(phi))
-        result = expsim.run_experiment(
-            state,
-            settings,
-            kind,
-            shots_per_setting=config.shots,
-            seed=config.seed,
-            readout=readout,
-            correct=config.correct,
-            step=i,
-        )
+        result = experiment(phi, i)
         if config.correct:
             value, sigma = result.corrected.value, result.sigma_corrected
         else:
@@ -279,6 +263,37 @@ def _sweep_rows(config: RunConfig):
             value > kind.bound,
             abs(value - kind.bound) < 3.0 * sigma,
         )
+
+
+def _experiment(config: RunConfig):
+    """Return run(phi, step), the configured sampled experiment at one angle.
+
+    The Werner state, its correlation tensor and the readout model are built
+    once; each call adapts the canonical settings at phi (radians) to the
+    state and runs them with the streams of sweep step ``step``.  ``simulate``
+    is step 0.
+    """
+    from . import expsim, geometry, qstate
+
+    kind = inequalities.KINDS[config.inequality]
+    canonical = geometry.CANONICAL[kind.tag]
+    state = qstate.werner(config.visibility, config.bell)
+    tensor = qstate.correlation_tensor(state)
+    readout = config.readout_model()
+
+    def run(phi: float, step: int) -> expsim.ExperimentResult:
+        return expsim.run_experiment(
+            state,
+            geometry.adapt_to_state(tensor, canonical(phi)),
+            kind,
+            shots_per_setting=config.shots,
+            seed=config.seed,
+            readout=readout,
+            correct=config.correct,
+            step=step,
+        )
+
+    return run
 
 
 def cmd_verify(args) -> int:
@@ -379,22 +394,7 @@ def cmd_simulate(args) -> int:
     if config.shots < 1:
         raise UsageError("shots: simulate requires shots >= 1")
     _check_phi_deg(args.phi)
-    from . import expsim, geometry, qstate
-
-    kind = inequalities.KINDS[config.inequality]
-    canonical = geometry.CANONICAL[kind.tag]
-    state = qstate.werner(config.visibility, config.bell)
-    tensor = qstate.correlation_tensor(state)
-    settings = geometry.adapt_to_state(tensor, canonical(math.radians(args.phi)))
-    result = expsim.run_experiment(
-        state,
-        settings,
-        kind,
-        shots_per_setting=config.shots,
-        seed=config.seed,
-        readout=config.readout_model(),
-        correct=config.correct,
-    )
+    result = _experiment(config)(math.radians(args.phi), 0)
     _write_text(json.dumps(result.to_json_dict(), indent=2) + "\n", config.out)
     return 0
 
@@ -418,7 +418,6 @@ def _add_run_options(sub):
     sub.add_argument("--f0-electron", dest="f0_electron", type=float, default=None)
     sub.add_argument("--f1-electron", dest="f1_electron", type=float, default=None)
     sub.add_argument("--out", default=None)
-    sub.add_argument("--format", choices=("csv", "json"), default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -430,6 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--phi-start", dest="phi_start", type=float, default=None)
     sweep.add_argument("--phi-stop", dest="phi_stop", type=float, default=None)
     sweep.add_argument("--steps", type=int, default=None)
+    sweep.add_argument("--format", choices=("csv", "json"), default=None)
     sweep.set_defaults(func=cmd_sweep)
 
     verify = subs.add_parser("verify", help="grid check of the hidden-variable bound")
@@ -466,9 +466,6 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except IOError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

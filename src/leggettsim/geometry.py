@@ -167,12 +167,12 @@ def adapt_to_state(tensor: CorrelationTensor, config: SettingsConfig) -> Setting
             new_alice.append(config.alice[alice_idx])
             continue
         for other in us[1:]:
-            if np.linalg.norm(other - us[0]) > ORTHO_TOL:
+            if not np.linalg.norm(other - us[0]) <= ORTHO_TOL:
                 raise ValueError("pairs assigned to one Alice vector must share a bisector")
         tu = tensor.t @ us[0]
         norm = np.linalg.norm(tu)
-        if norm < DEGENERATE_TOL:
-            raise DegenerateTensorError(f"T u is numerically zero (|T u| = {norm})")
+        if not norm >= DEGENERATE_TOL:
+            raise DegenerateTensorError(f"T u is numerically zero or NaN (|T u| = {norm})")
         new_alice.append(tu / norm)
     return SettingsConfig(
         alice=tuple(new_alice),
@@ -191,51 +191,26 @@ def fibonacci_sphere(n: int) -> np.ndarray:
     return np.column_stack([r * np.cos(theta), r * np.sin(theta), z])
 
 
-# pattern-search moves: all nonzero sign combinations over the three axes
-_MOVES = np.array(
-    [
-        [sx, sy, sz]
-        for sx in (-1, 0, 1)
-        for sy in (-1, 0, 1)
-        for sz in (-1, 0, 1)
-        if (sx, sy, sz) != (0, 0, 0)
-    ],
-    dtype=float,
-)
-_MOVES /= np.linalg.norm(_MOVES, axis=1, keepdims=True)
-
-
 def geometric_factor(dirs, grid_size: int = 10000) -> float:
-    """Minimum over unit v of sum_i |v . e_i|.
+    """Minimum over unit v of sum_i |v . e_i|, exactly.
 
-    Coarse minimization on a Fibonacci-sphere grid followed by a
-    deterministic pattern-search descent (step halved to 1e-10).  The
-    objective has kinks wherever v is orthogonal to a direction, so the
-    local polish uses axis and diagonal moves rather than gradients.
+    The sum is the support function of the zonotope sum_i [-e_i, e_i], so
+    its minimum is the zonotope's inradius, reached at a facet normal
+    e_i x e_j.  It is evaluated at every normalised nonzero pairwise cross
+    product; a coplanar set gives 0 at its plane's normal, and a set on one
+    line has no nonzero cross product and gives 0.  ``grid_size`` is kept
+    for callers and still validated, but it no longer changes the result.
     """
     if len(dirs) < 1:
         raise ValueError("need at least one direction")
     if grid_size < 100:
         raise ValueError(f"grid_size must be >= 100, got {grid_size}")
     e = np.array([_check_unit(d, "direction") for d in dirs])
-
-    grid = fibonacci_sphere(grid_size)
-    values = np.abs(grid @ e.T).sum(axis=1)
-    best_idx = int(np.argmin(values))
-    v = grid[best_idx]
-    best = float(values[best_idx])
-
-    step = 0.1
-    while step > 1e-10:
-        improved = False
-        candidates = v + step * _MOVES
-        candidates /= np.linalg.norm(candidates, axis=1, keepdims=True)
-        cand_values = np.abs(candidates @ e.T).sum(axis=1)
-        idx = int(np.argmin(cand_values))
-        if cand_values[idx] < best:
-            best = float(cand_values[idx])
-            v = candidates[idx]
-            improved = True
-        if not improved:
-            step *= 0.5
-    return best
+    i, j = np.triu_indices(len(e), 1)
+    normals = np.cross(e[i], e[j])
+    norms = np.linalg.norm(normals, axis=1)
+    nonzero = norms > 0.0
+    if not nonzero.any():
+        return 0.0
+    normals = normals[nonzero] / norms[nonzero, None]
+    return float(np.abs(normals @ e.T).sum(axis=1).min())

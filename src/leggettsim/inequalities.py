@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-PHI_BISECTION_TOL = 1e-10
-
 BELL_KINDS = ("phi_minus", "phi_plus", "psi_minus", "psi_plus")
 
 
@@ -107,34 +105,18 @@ def max_violation(kind: InequalityKind, visibility: float):
 def violation_region(kind: InequalityKind, visibility: float):
     """Open phi interval where the quantum value exceeds the bound, or None.
 
-    Tangency (maximum exactly at the bound) counts as empty: a physical
-    violation requires strict excess.
+    With (phi*, P) = max_violation(kind, V) the quantum value is
+    P cos((phi - phi*)/2), so it equals the bound B at
+    phi* +- 2 acos(B/P); the lower end is clipped at 0.  The upper end
+    stays below pi because the value at pi is sine_coeff < B.  Tangency
+    (maximum exactly at the bound) counts as empty: a physical violation
+    requires strict excess.
     """
-    _check_visibility(visibility)
     phi_star, peak = max_violation(kind, visibility)
     if peak <= kind.bound:
         return None
-
-    def excess(phi):
-        return quantum_value(kind, phi, visibility) - kind.bound
-
-    if excess(0.0) >= -PHI_BISECTION_TOL:
-        lo = 0.0
-    else:
-        lo = _bisect(excess, 0.0, phi_star, increasing=True)
-    hi = _bisect(excess, phi_star, math.pi, increasing=False)
-    return lo, hi
-
-
-def _bisect(f, a: float, b: float, increasing: bool) -> float:
-    while b - a > PHI_BISECTION_TOL:
-        mid = 0.5 * (a + b)
-        positive = f(mid) > 0.0
-        if positive == increasing:
-            b = mid
-        else:
-            a = mid
-    return 0.5 * (a + b)
+    half_width = 2.0 * math.acos(kind.bound / peak)
+    return max(0.0, phi_star - half_width), phi_star + half_width
 
 
 def amplitude_fidelity(visibility: float) -> float:

@@ -415,6 +415,16 @@ class TestSimulate:
         assert "[0, 180]" in err
         assert out == ""
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_format_is_a_sweep_option(self, capsys, fmt):
+        # simulate always writes one JSON document, so --format is refused
+        code, out, err = run(
+            capsys, "simulate", "--phi", "40", "--shots", "100", "--format", fmt
+        )
+        assert code == 2
+        assert "--format" in err
+        assert out == ""
+
     def test_requires_shots(self, capsys):
         code, _, err = run(capsys, "simulate", "--phi", "40", "--shots", "0")
         assert code == 2

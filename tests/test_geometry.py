@@ -167,15 +167,67 @@ class TestAdaptToState:
         with pytest.raises(DegenerateTensorError):
             adapt_to_state(zero, canonical_i26(1.0))
 
+    def test_nan_tensor(self):
+        nan = CorrelationTensor(t=np.full((3, 3), np.nan), a=np.zeros(3), b=np.zeros(3))
+        for build in CANONICAL.values():
+            with pytest.raises(DegenerateTensorError):
+                adapt_to_state(nan, build(0.5))
+
+
+def random_direction_sets(seed, count):
+    """``count`` seeded sets of 2-6 random unit vectors."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        dirs = rng.normal(size=(int(rng.integers(2, 7)), 3))
+        yield dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+
+
+def facet_normals(dirs):
+    """Normalised nonzero pairwise cross products of ``dirs``."""
+    for i in range(len(dirs)):
+        for j in range(i + 1, len(dirs)):
+            n = np.cross(dirs[i], dirs[j])
+            if np.linalg.norm(n) > 0.0:
+                yield n / np.linalg.norm(n)
+
 
 class TestGeometricFactor:
     def test_orthogonal_triad(self):
-        assert geometric_factor([X, Y, Z], 10000) == pytest.approx(1.0, abs=1e-6)
+        assert geometric_factor([X, Y, Z], 10000) == 1.0
 
     def test_tetrahedron(self):
         assert geometric_factor(_TETRA, 10000) == pytest.approx(
-            4 / math.sqrt(6), abs=1e-4
+            4 / math.sqrt(6), abs=1e-15
         )
+
+    @pytest.mark.parametrize("tag", sorted(CANONICAL))
+    def test_sine_coeff_is_twice_canonical_factor(self, tag):
+        e_hats = [pair.e_hat for pair in CANONICAL[tag](0.5).pairs]
+        assert abs(KINDS[tag].sine_coeff - 2 * geometric_factor(e_hats)) <= 1e-15
+
+    def test_not_above_any_facet_normal(self):
+        for dirs in random_direction_sets(2024, 50):
+            value = geometric_factor(list(dirs))
+            for n in facet_normals(dirs):
+                assert value <= np.abs(dirs @ n).sum() + 1e-12
+
+    def test_not_above_a_dense_grid(self):
+        # the facet normals hold the minimum: no grid point on the sphere is lower
+        grid = fibonacci_sphere(20000)
+        for dirs in random_direction_sets(7, 20):
+            value = geometric_factor(list(dirs))
+            assert value <= np.abs(grid @ dirs.T).sum(axis=1).min() + 1e-12
+
+    def test_antiparallel_pair_is_zero(self):
+        e = np.array([0.6, 0.0, 0.8])
+        assert geometric_factor([e, -e]) == 0.0
+
+    def test_coplanar_triple_is_zero(self):
+        diagonal = np.array([1.0, 1.0, 0.0]) / math.sqrt(2)
+        assert geometric_factor([X, Y, diagonal]) == 0.0
+
+    def test_grid_size_does_not_change_result(self):
+        assert geometric_factor(_TETRA, 100) == geometric_factor(_TETRA, 10000)
 
     def test_single_direction(self):
         assert geometric_factor([Z], 1000) == pytest.approx(0.0, abs=1e-9)
@@ -187,7 +239,7 @@ class TestGeometricFactor:
             q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
             rotated = [q @ e for e in _TETRA]
             assert geometric_factor(rotated, 10000) == pytest.approx(
-                reference, abs=1e-4
+                reference, abs=1e-12
             )
 
     @given(unit_vectors())

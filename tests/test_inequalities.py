@@ -163,6 +163,21 @@ class TestViolationRegion:
         assert abs(quantum_value(I28, lo, 0.97) - 8.0) < 1e-8
         assert abs(quantum_value(I28, hi, 0.97) - 8.0) < 1e-8
 
+    @pytest.mark.parametrize("kind", [I26, I28])
+    @pytest.mark.parametrize("v", [0.92, 0.95, 0.97, 0.99, 1.0])
+    def test_closed_form_endpoints_exact(self, kind, v):
+        region = violation_region(kind, v)
+        if region is None:
+            assert v < v_min(kind)
+            return
+        lo, hi = region
+        if lo > 0.0:
+            assert abs(quantum_value(kind, lo, v) - kind.bound) <= 4e-15
+        else:
+            assert quantum_value(kind, 0.0, v) >= kind.bound
+        assert abs(quantum_value(kind, hi, v) - kind.bound) <= 4e-15
+        assert hi < math.pi
+
     def test_empty_below_threshold(self):
         assert violation_region(I26, 0.9) is None
         assert violation_region(I28, 0.85) is None
