@@ -117,7 +117,8 @@ class RunConfig:
                 raise UsageError(f"config: {args.config}: {exc}") from exc
             if not isinstance(data, dict):
                 raise UsageError(f"config: {args.config}: expected a JSON object")
-            known = {f.name for f in fields(cls)}
+            # only the fields this subcommand has flags for
+            known = {f.name for f in fields(cls) if hasattr(args, f.name)}
             for key, value in data.items():
                 if key not in known:
                     raise UsageError(f"config: unknown field {key!r}")
@@ -275,8 +276,7 @@ def _experiment(config: RunConfig):
     """
     from . import expsim, geometry, qstate
 
-    kind = inequalities.KINDS[config.inequality]
-    canonical = geometry.CANONICAL[kind.tag]
+    canonical = geometry.CANONICAL[config.inequality]
     state = qstate.werner(config.visibility, config.bell)
     tensor = qstate.correlation_tensor(state)
     readout = config.readout_model()
@@ -285,7 +285,6 @@ def _experiment(config: RunConfig):
         return expsim.run_experiment(
             state,
             geometry.adapt_to_state(tensor, canonical(phi)),
-            kind,
             shots_per_setting=config.shots,
             seed=config.seed,
             readout=readout,

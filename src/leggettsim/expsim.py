@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .geometry import SettingsConfig
-from .inequalities import InequalityKind, InequalityValue, evaluate, sigma_violation
+from .inequalities import InequalityValue, evaluate, sigma_violation
 from .qstate import TwoQubitState, joint_probabilities
 
 MAX_CONDITION_NUMBER = 1e6
@@ -181,8 +181,7 @@ class SettingRecord:
 
 @dataclass(frozen=True)
 class ExperimentResult:
-    kind: InequalityKind
-    phi: float
+    config: SettingsConfig
     shots_per_setting: int
     seed: int
     settings: tuple
@@ -193,12 +192,11 @@ class ExperimentResult:
     sigma_corrected: Optional[float] = None
     sigmas_violation_corrected: Optional[float] = None
     clip_events: int = 0
-    config: Optional[SettingsConfig] = None
 
     def to_json_dict(self) -> dict:
         out = {
-            "kind": self.kind.tag,
-            "phi_deg": math.degrees(self.phi),
+            "kind": self.config.kind.tag,
+            "phi_deg": math.degrees(self.config.phi),
             "shots_per_setting": self.shots_per_setting,
             "seed": self.seed,
             "settings": [
@@ -224,15 +222,13 @@ class ExperimentResult:
             out["corrected"] = self.corrected.to_json_dict()
             out["sigma_corrected"] = self.sigma_corrected
             out["sigmas_violation_corrected"] = self.sigmas_violation_corrected
-        if self.config is not None:
-            out["config"] = self.config.to_json_dict()
+        out["config"] = self.config.to_json_dict()
         return out
 
 
 def run_experiment(
     state: TwoQubitState,
     config: SettingsConfig,
-    kind: InequalityKind,
     shots_per_setting: int,
     seed: int,
     readout: Optional[ReadoutModel] = None,
@@ -245,7 +241,8 @@ def run_experiment(
     SeedSequence([seed, setting_index, step]); ``simulate`` is step 0 and
     sweep step k is step k.  ``seed`` and ``step`` must lie in [0, 2**32).
     The confusion model is folded into the sampling distribution.  The
-    records' counts are the rows of one read-only (S, 4) array.
+    records' counts are the rows of one read-only (S, 4) array.  The
+    inequality is ``config.kind``; ``evaluate`` rejects a wrong pair count.
     """
     if shots_per_setting < 1:
         raise ValueError(f"shots must be >= 1, got {shots_per_setting}")
@@ -254,10 +251,6 @@ def run_experiment(
             raise ValueError(f"{name} must lie in [0, 2**32), got {value}")
     if readout is None:
         readout = ReadoutModel.identity()
-    if len(config.pairs) != kind.num_pairs:
-        raise ValueError(
-            f"config has {len(config.pairs)} pairs but {kind.tag} needs {kind.num_pairs}"
-        )
     settings = config.settings()
     n = np.array([setting[2] for setting in settings])
     m = np.array([setting[3] for setting in settings])
@@ -294,9 +287,10 @@ def run_experiment(
         for row, (setting_id, alice_idx, n_i, m_i) in enumerate(settings)
     ]
 
+    kind = config.kind
+
     def assemble(values, sigmas):
-        pairs = [(values[2 * i], values[2 * i + 1]) for i in range(kind.num_pairs)]
-        ineq = evaluate(kind, config.phi, pairs)
+        ineq = evaluate(kind, config.phi, list(zip(values[::2], values[1::2])))
         # pair terms treated as sign-fixed; invalid near |C + C'| = 0
         sigma = math.sqrt(sum(s * s for s in sigmas))
         if sigma == 0.0:
@@ -310,8 +304,7 @@ def run_experiment(
     if correct:
         corrected, sigma_corr_total, nsig_corr = assemble(c_corr, sigma_corr)
     return ExperimentResult(
-        kind=kind,
-        phi=config.phi,
+        config=config,
         shots_per_setting=shots_per_setting,
         seed=seed,
         settings=tuple(records),
@@ -322,5 +315,4 @@ def run_experiment(
         sigma_corrected=sigma_corr_total,
         sigmas_violation_corrected=nsig_corr,
         clip_events=clip_events,
-        config=config,
     )

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .inequalities import I26, I28, KINDS, InequalityKind
 from .qstate import CorrelationTensor, _check_unit
 
 ORTHO_TOL = 1e-9
@@ -43,13 +44,25 @@ class SettingsConfig:
     """Alice vectors, Bob setting pairs and the pair -> Alice assignment.
 
     ``pairing[i]`` is the 0-based index of the Alice vector used with pair i.
-    ``kind`` is the inequality tag, "i26" or "i28".
+    ``kind`` is the inequality the configuration tests; its JSON form is the
+    tag.  The pair count is not tied to ``kind.num_pairs``: ``evaluate``
+    checks that where the inequality is evaluated.
     """
 
     alice: tuple
     pairs: tuple
     pairing: tuple
-    kind: str
+    kind: InequalityKind
+
+    def __post_init__(self):
+        if not isinstance(self.kind, InequalityKind):
+            raise ValueError(f"unknown inequality kind {self.kind!r}")
+        if len(self.pairing) != len(self.pairs):
+            raise ValueError(f"{len(self.pairing)} pairing entries for {len(self.pairs)} pairs")
+        if not all(i in range(len(self.alice)) for i in self.pairing):
+            raise ValueError(f"pairing {self.pairing} outside range({len(self.alice)})")
+        if len({p.phi for p in self.pairs}) > 1:
+            raise ValueError("setting pairs must share one phi")
 
     @property
     def phi(self) -> float:
@@ -66,7 +79,7 @@ class SettingsConfig:
 
     def to_json_dict(self) -> dict:
         return {
-            "kind": self.kind,
+            "kind": self.kind.tag,
             "phi_deg": math.degrees(self.phi),
             "alice": [list(n) for n in self.alice],
             "pairs": [
@@ -92,7 +105,7 @@ class SettingsConfig:
             alice=tuple(np.asarray(n, float) for n in data["alice"]),
             pairs=pairs,
             pairing=tuple(i - 1 for i in data["pairing"]),
-            kind=data["kind"],
+            kind=KINDS.get(data["kind"], data["kind"]),
         )
 
 
@@ -121,7 +134,7 @@ def canonical_i26(phi: float) -> SettingsConfig:
         make_pair(Z, Y, phi),
         make_pair(X, Z, phi),
     )
-    return SettingsConfig(alice=(Z, X), pairs=pairs, pairing=(0, 0, 1), kind="i26")
+    return SettingsConfig(alice=(Z, X), pairs=pairs, pairing=(0, 0, 1), kind=I26)
 
 
 _TETRA = (
@@ -146,7 +159,7 @@ def canonical_i28(phi: float) -> SettingsConfig:
         make_pair(u34, _TETRA[2], phi),
         make_pair(u34, _TETRA[3], phi),
     )
-    return SettingsConfig(alice=(u12, u34), pairs=pairs, pairing=(0, 0, 1, 1), kind="i28")
+    return SettingsConfig(alice=(u12, u34), pairs=pairs, pairing=(0, 0, 1, 1), kind=I28)
 
 
 # inequality tag -> builder of its canonical configuration at half-angle phi
@@ -191,20 +204,17 @@ def fibonacci_sphere(n: int) -> np.ndarray:
     return np.column_stack([r * np.cos(theta), r * np.sin(theta), z])
 
 
-def geometric_factor(dirs, grid_size: int = 10000) -> float:
+def geometric_factor(dirs) -> float:
     """Minimum over unit v of sum_i |v . e_i|, exactly.
 
     The sum is the support function of the zonotope sum_i [-e_i, e_i], so
     its minimum is the zonotope's inradius, reached at a facet normal
     e_i x e_j.  It is evaluated at every normalised nonzero pairwise cross
     product; a coplanar set gives 0 at its plane's normal, and a set on one
-    line has no nonzero cross product and gives 0.  ``grid_size`` is kept
-    for callers and still validated, but it no longer changes the result.
+    line has no nonzero cross product and gives 0.
     """
     if len(dirs) < 1:
         raise ValueError("need at least one direction")
-    if grid_size < 100:
-        raise ValueError(f"grid_size must be >= 100, got {grid_size}")
     e = np.array([_check_unit(d, "direction") for d in dirs])
     i, j = np.triu_indices(len(e), 1)
     normals = np.cross(e[i], e[j])

@@ -125,12 +125,6 @@ def amplitude_fidelity(visibility: float) -> float:
     return math.sqrt(3.0 * visibility + 1.0) / 2.0
 
 
-def overlap_fidelity(visibility: float) -> float:
-    """Raw Bell-state overlap (3V + 1)/4 of a Werner state."""
-    _check_visibility(visibility)
-    return (3.0 * visibility + 1.0) / 4.0
-
-
 def v_min(kind: InequalityKind) -> float:
     """Least visibility whose maximal quantum value reaches the bound."""
     return math.sqrt(1.0 - (kind.sine_coeff / kind.bound) ** 2)

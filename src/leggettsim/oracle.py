@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import SettingPair, SettingsConfig, fibonacci_sphere
-from .inequalities import KINDS
 from .qstate import _check_unit
 
 
@@ -127,10 +126,9 @@ def _scan(config: SettingsConfig, grid_size: int):
     """
     if grid_size < 50:
         raise ValueError(f"grid_size must be >= 50, got {grid_size}")
-    kind = KINDS[config.kind]
     u_grid = fibonacci_sphere(grid_size)
     v_grid = fibonacci_sphere(grid_size)
-    sine = kind.sine_coeff * math.sin(config.phi / 2.0)
+    sine = config.kind.sine_coeff * math.sin(config.phi / 2.0)
     projections = []
     ceiling = np.zeros(grid_size)
     for i, pair in enumerate(config.pairs):
@@ -168,10 +166,10 @@ def verify_bound(config: SettingsConfig, grid_size: int = 500) -> BoundReport:
     -1e-9 signals an implementation bug.  Columns of v whose per-pair
     ceilings sum below the best cell are skipped; see ``_scan``.
     """
-    kind = KINDS[config.kind]
+    kind = config.kind
     value, u, v = _scan(config, grid_size)
     return BoundReport(
-        kind=config.kind,
+        kind=kind.tag,
         phi=config.phi,
         grid_size=grid_size,
         oracle_value=value,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # defined in the numpy-free inequalities module and re-exported here
-from .inequalities import BELL_KINDS, amplitude_fidelity, overlap_fidelity  # noqa: F401
+from .inequalities import BELL_KINDS, amplitude_fidelity  # noqa: F401
 
 HERMITIAN_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -63,19 +63,6 @@ class TwoQubitState:
             raise InvalidStateError("matrix has an eigenvalue below -1e-10")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "density_matrix": [
-                [[entry.real, entry.imag] for entry in row] for row in self.matrix
-            ]
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "TwoQubitState":
-        rows = data["density_matrix"]
-        m = np.array([[complex(re, im) for re, im in row] for row in rows])
-        return cls(m)
 
 
 @dataclass(frozen=True)

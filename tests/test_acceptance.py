@@ -81,8 +81,8 @@ def test_criterion_4_sigma_arithmetic(capsys):
 
 
 def test_criterion_5_geometric_factors():
-    triad = geometric_factor([X, Y, Z], 10000)
-    tetra = geometric_factor(_TETRA, 10000)
+    triad = geometric_factor([X, Y, Z])
+    tetra = geometric_factor(_TETRA)
     ok = abs(triad - 1.0) <= 1e-4 and abs(tetra - 4 / math.sqrt(6)) <= 1e-4
     report("criterion 5: geometric factors 1 and 4/sqrt(6)", ok)
 
@@ -120,7 +120,7 @@ def test_criterion_7_sampled_consistency():
     config = adapt_to_state(correlation_tensor(state), canonical_i26(phi))
     values, sigmas = [], []
     for seed in range(50):
-        result = run_experiment(state, config, I26, 10**5, seed=seed)
+        result = run_experiment(state, config, 10**5, seed=seed)
         values.append(result.raw.value)
         sigmas.append(result.sigma_raw)
     mean = float(np.mean(values))

@@ -11,7 +11,6 @@ from leggettsim import oracle
 from leggettsim.cli import main
 from leggettsim.expsim import ReadoutModel, run_experiment
 from leggettsim.geometry import adapt_to_state, canonical_i26
-from leggettsim.inequalities import I26
 from leggettsim.qstate import correlation_tensor, werner
 
 
@@ -256,7 +255,7 @@ class TestSweep:
         counts = set()
         for i, row in enumerate(rows):
             result = run_experiment(
-                state, config, I26, 2000, seed=11, readout=readout, correct=True, step=i
+                state, config, 2000, seed=11, readout=readout, correct=True, step=i
             )
             assert float(row["I_raw"]) == result.raw.value
             assert float(row["sigma_raw"]) == result.sigma_raw
@@ -424,6 +423,29 @@ class TestSimulate:
         assert code == 2
         assert "--format" in err
         assert out == ""
+
+    @pytest.mark.parametrize(
+        "key, value", [("format", "csv"), ("phi_start", 10), ("phi_stop", 20), ("steps", 5)]
+    )
+    def test_sweep_only_config_key(self, capsys, tmp_path, key, value):
+        # simulate has no flag for these, so a config file may not set them
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: value}))
+        code, out, err = run(
+            capsys, "simulate", "--phi", "40", "--shots", "100", "--config", str(config)
+        )
+        assert code == 2
+        assert err == f"error: config: unknown field {key!r}\n"
+        assert out == ""
+
+    def test_sweep_takes_sweep_only_config_keys(self, capsys, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(
+            json.dumps({"format": "json", "phi_start": 10, "phi_stop": 20, "steps": 2})
+        )
+        code, out, _ = run(capsys, "sweep", "--config", str(config))
+        assert code == 0
+        assert [row["phi_deg"] for row in json.loads(out)] == [10.0, 20.0]
 
     def test_requires_shots(self, capsys):
         code, _, err = run(capsys, "simulate", "--phi", "40", "--shots", "0")

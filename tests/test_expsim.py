@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -143,7 +144,7 @@ def sampled_counts(state, shots, seed, **kwargs):
 
     At phi = 0 settings 0-3 measure (Z, Z) and settings 4-5 (X, X).
     """
-    result = run_experiment(state, canonical_i26(0.0), I26, shots, seed=seed, **kwargs)
+    result = run_experiment(state, canonical_i26(0.0), shots, seed=seed, **kwargs)
     return np.array([rec.counts for rec in result.settings])
 
 
@@ -211,27 +212,27 @@ class TestEstimateCorrelation:
 class TestRunExperiment:
     def test_ideal_state_consistency(self):
         state = bell_state("phi_minus")
-        result = run_experiment(state, adapted_config(state), I26, 10**5, seed=21)
+        result = run_experiment(state, adapted_config(state), 10**5, seed=21)
         target = quantum_value(I26, PHI, 1.0)
         assert abs(result.raw.value - target) < 4 * result.sigma_raw
 
     def test_werner_consistency(self):
         state = werner(0.9)
-        result = run_experiment(state, adapted_config(state), I26, 10**5, seed=22)
+        result = run_experiment(state, adapted_config(state), 10**5, seed=22)
         target = quantum_value(I26, PHI, 0.9)
         assert abs(result.raw.value - target) < 4 * result.sigma_raw
 
     def test_large_shot_limit(self):
         state = bell_state("phi_minus")
-        result = run_experiment(state, adapted_config(state), I26, 10**7, seed=23)
+        result = run_experiment(state, adapted_config(state), 10**7, seed=23)
         assert abs(result.raw.value - quantum_value(I26, PHI, 1.0)) <= 5e-3
 
     def test_determinism(self):
         state = werner(0.95)
         config = adapted_config(state)
         model = ReadoutModel.from_fidelities(0.97, 0.95, 0.96, 0.94)
-        a = run_experiment(state, config, I26, 10**4, seed=5, readout=model, correct=True)
-        b = run_experiment(state, config, I26, 10**4, seed=5, readout=model, correct=True)
+        a = run_experiment(state, config, 10**4, seed=5, readout=model, correct=True)
+        b = run_experiment(state, config, 10**4, seed=5, readout=model, correct=True)
         assert a.raw.value == b.raw.value
         assert a.corrected.value == b.corrected.value
         for ra, rb in zip(a.settings, b.settings):
@@ -242,7 +243,7 @@ class TestRunExperiment:
         config = adapted_config(state)
         values, sigmas = [], []
         for seed in range(200):
-            result = run_experiment(state, config, I26, 10**4, seed=seed)
+            result = run_experiment(state, config, 10**4, seed=seed)
             values.append(result.raw.value)
             sigmas.append(result.sigma_raw)
         empirical = float(np.std(values, ddof=1))
@@ -254,7 +255,7 @@ class TestRunExperiment:
         config = adapted_config(state)
         model = ReadoutModel.from_fidelities(0.95, 0.92, 0.96, 0.93)
         result = run_experiment(
-            state, config, I26, 10**6, seed=17, readout=model, correct=True
+            state, config, 10**6, seed=17, readout=model, correct=True
         )
         for rec in result.settings:
             p_ideal = joint_probabilities(state, rec.n, rec.m)
@@ -269,7 +270,7 @@ class TestRunExperiment:
         raw_mean = corr_mean = 0.0
         for seed in range(100):
             result = run_experiment(
-                state, config, I26, 2000, seed=seed, readout=model, correct=True
+                state, config, 2000, seed=seed, readout=model, correct=True
             )
             raw_mean += np.mean([abs(r.c_raw) for r in result.settings])
             corr_mean += np.mean([abs(r.c_corrected) for r in result.settings])
@@ -277,7 +278,7 @@ class TestRunExperiment:
 
     def test_json_and_csv_export(self):
         state = werner(0.9)
-        result = run_experiment(state, adapted_config(state), I26, 1000, seed=2)
+        result = run_experiment(state, adapted_config(state), 1000, seed=2)
         data = result.to_json_dict()
         assert data["kind"] == "i26" and len(data["settings"]) == 6
 
@@ -285,7 +286,7 @@ class TestRunExperiment:
         state = werner(0.9)
         model = ReadoutModel.from_fidelities(0.5, 0.5, 0.5, 0.5)
         result = run_experiment(
-            state, adapted_config(state), I26, 1000, seed=3, readout=model
+            state, adapted_config(state), 1000, seed=3, readout=model
         )
         assert result.corrected is None
         assert len(result.settings) == 6
@@ -295,7 +296,7 @@ class TestRunExperiment:
         model = ReadoutModel.from_fidelities(0.5, 0.5, 0.5, 0.5)
         with pytest.raises(ConditioningError):
             run_experiment(
-                state, adapted_config(state), I26, 1000, seed=3, readout=model, correct=True
+                state, adapted_config(state), 1000, seed=3, readout=model, correct=True
             )
 
     def test_condition_checked_once_per_model(self, monkeypatch):
@@ -311,16 +312,16 @@ class TestRunExperiment:
         model = ReadoutModel.from_fidelities(0.97, 0.95, 0.96, 0.94)
         for seed in range(3):
             run_experiment(
-                state, adapted_config(state), I26, 1000, seed=seed, readout=model, correct=True
+                state, adapted_config(state), 1000, seed=seed, readout=model, correct=True
             )
         assert len(calls) == 1
 
     def test_wrong_pair_count(self):
+        # three pairs tagged with the four-pair inequality
         state = werner(0.9)
-        with pytest.raises(ValueError):
-            from leggettsim.inequalities import I28
-
-            run_experiment(state, adapted_config(state), I28, 100, seed=0)
+        config = dataclasses.replace(adapted_config(state), kind=I28)
+        with pytest.raises(ValueError, match="i28 needs 4 correlation pairs, got 3"):
+            run_experiment(state, config, 100, seed=0)
 
 
 # --- the per-setting loop the stacked run_experiment replaced -------------
@@ -357,7 +358,8 @@ def reference_estimate_correlation(counts):
     return c_hat, math.sqrt(max(1.0 - c_hat * c_hat, 0.0) / total)
 
 
-def reference_experiment(state, config, kind, shots, seed, readout, correct, step):
+def reference_experiment(state, config, shots, seed, readout, correct, step):
+    kind = config.kind
     records = []
     clip_events = 0
     for setting_id, alice_idx, n, m in config.settings():
@@ -394,7 +396,7 @@ def reference_experiment(state, config, kind, shots, seed, readout, correct, ste
             [r.c_corrected for r in records], [r.sigma_corrected for r in records]
         )
     return ExperimentResult(
-        kind, config.phi, shots, seed, tuple(records), *raw, *corrected, clip_events, config
+        config, shots, seed, tuple(records), *raw, *corrected, clip_events
     )
 
 
@@ -419,7 +421,7 @@ def random_config(rng, kind):
         pairs.append(make_pair(u, e_hat / np.linalg.norm(e_hat), phi))
     pairing = tuple(int(i) for i in rng.integers(0, 2, size=kind.num_pairs))
     alice = (random_unit(rng), random_unit(rng))
-    return SettingsConfig(alice=alice, pairs=tuple(pairs), pairing=pairing, kind=kind.tag)
+    return SettingsConfig(alice=alice, pairs=tuple(pairs), pairing=pairing, kind=kind)
 
 
 def random_readout(rng):
@@ -438,7 +440,7 @@ class TestStackedMatchesReference:
             shots = int(rng.integers(1, 60))
             seed, step = (int(x) for x in rng.integers(0, 2**32, size=2))
             for correct in (False, True):
-                args = (state, config, kind, shots, seed, readout, correct, step)
+                args = (state, config, shots, seed, readout, correct, step)
                 ref = reference_experiment(*args)
                 got = run_experiment(*args)
                 for a, b in zip(got.settings, ref.settings):
@@ -486,7 +488,7 @@ class TestStackedMatchesReference:
 
     def test_counts_read_only(self):
         state = werner(0.9)
-        result = run_experiment(state, adapted_config(state), I26, 100, seed=1, correct=True)
+        result = run_experiment(state, adapted_config(state), 100, seed=1, correct=True)
         for rec in result.settings:
             assert not rec.counts.flags.writeable
             with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -128,7 +129,7 @@ class TestCanonicalConfigs:
         assert CANONICAL.keys() == KINDS.keys()
         for tag, build in CANONICAL.items():
             config = build(0.5)
-            assert config.kind == tag
+            assert config.kind is KINDS[tag]
             assert len(config.pairs) == KINDS[tag].num_pairs
 
     def test_phi_out_of_range(self):
@@ -193,10 +194,10 @@ def facet_normals(dirs):
 
 class TestGeometricFactor:
     def test_orthogonal_triad(self):
-        assert geometric_factor([X, Y, Z], 10000) == 1.0
+        assert geometric_factor([X, Y, Z]) == 1.0
 
     def test_tetrahedron(self):
-        assert geometric_factor(_TETRA, 10000) == pytest.approx(
+        assert geometric_factor(_TETRA) == pytest.approx(
             4 / math.sqrt(6), abs=1e-15
         )
 
@@ -226,34 +227,52 @@ class TestGeometricFactor:
         diagonal = np.array([1.0, 1.0, 0.0]) / math.sqrt(2)
         assert geometric_factor([X, Y, diagonal]) == 0.0
 
-    def test_grid_size_does_not_change_result(self):
-        assert geometric_factor(_TETRA, 100) == geometric_factor(_TETRA, 10000)
-
     def test_single_direction(self):
-        assert geometric_factor([Z], 1000) == pytest.approx(0.0, abs=1e-9)
+        assert geometric_factor([Z]) == pytest.approx(0.0, abs=1e-9)
 
     def test_rotation_invariance(self):
         rng = np.random.default_rng(11)
-        reference = geometric_factor(_TETRA, 10000)
+        reference = geometric_factor(_TETRA)
         for _ in range(10):
             q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
             rotated = [q @ e for e in _TETRA]
-            assert geometric_factor(rotated, 10000) == pytest.approx(
+            assert geometric_factor(rotated) == pytest.approx(
                 reference, abs=1e-12
             )
 
     @given(unit_vectors())
     @settings(max_examples=25, deadline=None)
     def test_never_exceeds_explicit_point(self, v0):
-        value = geometric_factor(_TETRA, 500)
+        value = geometric_factor(_TETRA)
         upper = sum(abs(float(v0 @ e)) for e in _TETRA)
         assert value <= upper + 1e-12
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            geometric_factor([], 1000)
-        with pytest.raises(ValueError):
-            geometric_factor([Z], 50)
+            geometric_factor([])
+
+
+class TestSettingsConfigValidation:
+    @pytest.mark.parametrize("pairing", [(0, 0), (0, 0, 1, 1)])
+    def test_pairing_length(self, pairing):
+        with pytest.raises(ValueError, match="pairing entries"):
+            dataclasses.replace(canonical_i26(0.5), pairing=pairing)
+
+    @pytest.mark.parametrize("pairing", [(0, 0, -1), (0, 0, 5), (0, 0, 2), (0, 0, 0.5)])
+    def test_pairing_index_out_of_range(self, pairing):
+        # -1 would silently pick the last Alice vector, 5 fail later as IndexError
+        with pytest.raises(ValueError, match="outside range"):
+            dataclasses.replace(canonical_i26(0.5), pairing=pairing)
+
+    def test_pairs_share_phi(self):
+        config = canonical_i26(math.radians(30))
+        odd = make_pair(X, Z, math.radians(80))
+        with pytest.raises(ValueError, match="one phi"):
+            dataclasses.replace(config, pairs=config.pairs[:2] + (odd,))
+
+    def test_kind_is_an_inequality(self):
+        with pytest.raises(ValueError, match="unknown inequality kind 'i26'"):
+            dataclasses.replace(canonical_i26(0.5), kind="i26")
 
 
 class TestSerialization:
@@ -263,10 +282,17 @@ class TestSerialization:
         assert data["kind"] == "i28"
         assert data["pairing"] == [1, 1, 2, 2]
         rebuilt = SettingsConfig.from_json_dict(data)
+        assert rebuilt.kind is KINDS["i28"]
         for a, b in zip(rebuilt.pairs, config.pairs):
             assert np.allclose(a.m, b.m, atol=1e-12)
             assert np.allclose(a.m_prime, b.m_prime, atol=1e-12)
         assert rebuilt.pairing == config.pairing
+
+    def test_unknown_kind(self):
+        data = canonical_i26(0.5).to_json_dict()
+        data["kind"] = "i99"
+        with pytest.raises(ValueError, match="unknown inequality kind 'i99'"):
+            SettingsConfig.from_json_dict(data)
 
 
 def test_fibonacci_sphere_on_unit_sphere():

@@ -210,7 +210,7 @@ class TestPerLambdaInequality:
 
 def exhaustive_scan(config, grid_size):
     """Every cell of the (u, v) grid: the reference for the pruned scan."""
-    kind = KINDS[config.kind]
+    kind = config.kind
     u_grid = fibonacci_sphere(grid_size)
     v_grid = fibonacci_sphere(grid_size)
     total = np.zeros((grid_size, grid_size))
@@ -250,7 +250,7 @@ def random_config(seed):
         e_hat = np.cross(u, random_unit(rng))
         pairs.append(make_pair(u, e_hat / np.linalg.norm(e_hat), phi))
     pairing = tuple(int(rng.integers(len(alice))) for _ in pairs)
-    kind = ("i26", "i28")[int(rng.integers(2))]
+    kind = (KINDS["i26"], KINDS["i28"])[int(rng.integers(2))]
     return SettingsConfig(alice=alice, pairs=tuple(pairs), pairing=pairing, kind=kind)
 
 
@@ -292,7 +292,7 @@ class TestPrunedScan:
         # the grid maximum is hit in two columns, and the column visited
         # second holds the tie with the lowest row-major index
         pair = make_pair(bisector, e_hat, math.radians(deg))
-        config = SettingsConfig(alice=(Z,), pairs=(pair,), pairing=(0,), kind="i26")
+        config = SettingsConfig(alice=(Z,), pairs=(pair,), pairing=(0,), kind=KINDS["i26"])
         assert_scan_matches_exhaustive(config, grid_size)
 
 

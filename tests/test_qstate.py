@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +16,6 @@ from leggettsim.qstate import (
     correlation,
     correlation_tensor,
     joint_probabilities,
-    overlap_fidelity,
     werner,
 )
 
@@ -114,12 +111,6 @@ class TestFidelity:
         assert amplitude_fidelity(1.0) == pytest.approx(1.0, abs=1e-12)
         assert amplitude_fidelity(0.942809) == pytest.approx(0.978318, abs=1e-6)
         assert amplitude_fidelity(0.912871) == pytest.approx(0.966775, abs=1e-6)
-
-    def test_overlap_is_square(self):
-        for v in (0.0, 0.3, 0.942809, 1.0):
-            assert overlap_fidelity(v) == pytest.approx(
-                amplitude_fidelity(v) ** 2, abs=1e-12
-            )
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -240,12 +231,6 @@ class TestStateValidation:
         with pytest.raises(InvalidStateError):
             TwoQubitState(np.diag([0.7, 0.5, -0.1, -0.1]).astype(complex))
 
-    def test_json_round_trip(self):
-        state = werner(0.7, "psi_plus")
-        data = json.loads(json.dumps(state.to_json_dict()))
-        assert np.allclose(
-            TwoQubitState.from_json_dict(data).matrix, state.matrix, atol=1e-15
-        )
 
 
 def random_state(rng) -> TwoQubitState:
