@@ -14,6 +14,7 @@ start without loading numpy.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -278,13 +279,12 @@ def _experiment(config: RunConfig):
 
     canonical = geometry.CANONICAL[config.inequality]
     state = qstate.werner(config.visibility, config.bell)
-    tensor = qstate.correlation_tensor(state)
     readout = config.readout_model()
 
     def run(phi: float, step: int) -> expsim.ExperimentResult:
         return expsim.run_experiment(
             state,
-            geometry.adapt_to_state(tensor, canonical(phi)),
+            geometry.adapt_to_state(state.tensor, canonical(phi)),
             shots_per_setting=config.shots,
             seed=config.seed,
             readout=readout,
@@ -329,7 +329,7 @@ def thresholds_payload(tag: str) -> dict:
 
 def cmd_thresholds(args) -> int:
     payload = thresholds_payload(args.inequality)
-    _write_text(json.dumps(payload, indent=2) + "\n", getattr(args, "out", "") or "")
+    _write_text(json.dumps(payload, indent=2) + "\n", args.out or "")
     return 0
 
 
@@ -419,7 +419,9 @@ def _add_run_options(sub):
     sub.add_argument("--out", default=None)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it."""
     parser = _Parser(prog="leggettsim")
     subs = parser.add_subparsers(dest="command", required=True)
 

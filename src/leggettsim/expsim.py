@@ -9,7 +9,7 @@ order or platform.
 An experiment handles its S settings as stacked arrays: settings n and m
 as (S, 3), probabilities and counts as (S, 4), one row per setting in
 setting order.  ``joint_probabilities``, ``apply_confusion``,
-``_correct_readout`` and ``estimate_correlation`` each take either one row
+``correct_readout`` and ``estimate_correlation`` each take either one row
 or the whole stack, and row i of a stacked call has the bits of the call on
 row i alone.  Only the draws loop over settings: each setting still gets
 its own generator from the rule above and one ``multinomial`` call.
@@ -114,17 +114,12 @@ def apply_confusion(model: ReadoutModel, p) -> np.ndarray:
     return (model.joint() @ p[..., None])[..., 0]
 
 
-def correct_readout(model: ReadoutModel, p_measured) -> np.ndarray:
-    """Invert the confusion, clip negatives to zero and renormalize."""
-    corrected, _ = _correct_readout(model, p_measured)
-    return corrected
+def correct_readout(model: ReadoutModel, p_measured):
+    """Invert the confusion, clip negatives to zero and renormalize.
 
-
-def _correct_readout(model: ReadoutModel, p_measured):
-    """(corrected distribution, clipped) for one (4,) or an (S, 4) stack.
-
-    ``clipped`` is a bool, or a bool array with one entry per row, that says
-    whether the inverted distribution had a negative entry.
+    Returns (corrected distribution, clipped) for one (4,) or an (S, 4)
+    stack.  ``clipped`` is a bool, or a bool array with one entry per row,
+    that says whether the inverted distribution had a negative entry.
     """
     p_measured = _stack_of_4(p_measured, "probabilities")
     cond = model._condition_number
@@ -268,7 +263,7 @@ def run_experiment(
     c_corr = sigma_corr = [None] * len(settings)
     clip_events = 0
     if correct:
-        p_corr, clipped = _correct_readout(readout, counts / shots_per_setting)
+        p_corr, clipped = correct_readout(readout, counts / shots_per_setting)
         clip_events = int(clipped.sum())
         c = p_corr[:, 0] + p_corr[:, 3] - p_corr[:, 1] - p_corr[:, 2]
         c_corr, sigma_corr = c.tolist(), _sigma(c, shots_per_setting).tolist()

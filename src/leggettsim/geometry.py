@@ -57,10 +57,15 @@ class SettingsConfig:
     def __post_init__(self):
         if not isinstance(self.kind, InequalityKind):
             raise ValueError(f"unknown inequality kind {self.kind!r}")
+        if not self.pairs:
+            raise ValueError("a configuration needs at least one setting pair")
         if len(self.pairing) != len(self.pairs):
             raise ValueError(f"{len(self.pairing)} pairing entries for {len(self.pairs)} pairs")
         if not all(i in range(len(self.alice)) for i in self.pairing):
             raise ValueError(f"pairing {self.pairing} outside range({len(self.alice)})")
+        # 1.0 and True pass the range test above
+        if not all(type(i) is int for i in self.pairing):
+            raise ValueError(f"pairing entries must be int indices, got {self.pairing}")
         if len({p.phi for p in self.pairs}) > 1:
             raise ValueError("setting pairs must share one phi")
 
@@ -96,6 +101,10 @@ class SettingsConfig:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SettingsConfig":
+        keys = ("kind", "phi_deg", "alice", "pairs", "pairing")
+        missing = [key for key in keys if key not in data]
+        if missing:
+            raise ValueError(f"settings config: missing {', '.join(missing)}")
         phi = math.radians(data["phi_deg"])
         pairs = tuple(
             make_pair(np.asarray(p["u"], float), np.asarray(p["e_hat"], float), phi)

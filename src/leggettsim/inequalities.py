@@ -21,12 +21,16 @@ BELL_KINDS = ("phi_minus", "phi_plus", "psi_minus", "psi_plus")
 class InequalityKind:
     tag: str
     num_pairs: int
-    bound: float
     sine_coeff: float
 
+    @property
+    def bound(self) -> float:
+        """Bound on the full left-hand side: 2 per setting pair."""
+        return 2.0 * self.num_pairs
 
-I26 = InequalityKind(tag="i26", num_pairs=3, bound=6.0, sine_coeff=2.0)
-I28 = InequalityKind(tag="i28", num_pairs=4, bound=8.0, sine_coeff=8.0 / math.sqrt(6.0))
+
+I26 = InequalityKind(tag="i26", num_pairs=3, sine_coeff=2.0)
+I28 = InequalityKind(tag="i28", num_pairs=4, sine_coeff=8.0 / math.sqrt(6.0))
 KINDS = {"i26": I26, "i28": I28}
 
 

@@ -1,9 +1,11 @@
 """Grid search for the hidden-variable maximum of the inequality expressions.
 
 A hidden-variable point is a pair of unit vectors (u, v) fixing both
-parties' Malus-type marginals u.n and v.m.  Probability non-negativity
-confines each correlation to an interval, and the supremum over
-statistical mixtures of such points equals the supremum over single
+parties' Malus-type marginals u.n and v.m.  Non-negativity of the four
+outcome probabilities confines each correlation to an interval, so each
+pair term |C + C'| has a largest value at the point: ``pair_term_max``, the
+one kernel, computes it from the three marginals of a pair.  The supremum
+over statistical mixtures of points equals the supremum over single
 points.  The maximum over a Fibonacci grid of (u, v) is therefore a lower
 bound on that supremum, approached from below as the grid is refined; it
 does not certify the inequality bound.
@@ -23,36 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import SettingPair, SettingsConfig, fibonacci_sphere
-from .qstate import _check_unit
-
-
-@dataclass(frozen=True)
-class LeggettEnsemblePoint:
-    """Hidden variable lambda = (u, v): subensemble polarizations."""
-
-    u: np.ndarray
-    v: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "u", _check_unit(self.u, "u"))
-        object.__setattr__(self, "v", _check_unit(self.v, "v"))
-
-    def marginals(self, n, m):
-        """(M_A, M_B) = (u.n, v.m) for a setting pair (n, m).
-
-        Dot products of unit vectors are clipped to [-1, 1] to absorb
-        roundoff.
-        """
-        m_a = float(self.u @ np.asarray(n, float))
-        m_b = float(self.v @ np.asarray(m, float))
-        return min(max(m_a, -1.0), 1.0), min(max(m_b, -1.0), 1.0)
-
-
-@dataclass(frozen=True)
-class CorrelationInterval:
-    lo: float
-    hi: float
+from .geometry import SettingsConfig, fibonacci_sphere
 
 
 @dataclass(frozen=True)
@@ -83,24 +56,18 @@ class BoundReport:
         }
 
 
-def correlation_interval(m_a: float, m_b: float) -> CorrelationInterval:
-    """Admissible correlations given marginals: all four P(alpha, beta) >= 0."""
-    if not (-1.0 <= m_a <= 1.0 and -1.0 <= m_b <= 1.0):
-        raise ValueError(f"marginals must lie in [-1, 1], got ({m_a}, {m_b})")
-    return CorrelationInterval(lo=abs(m_a + m_b) - 1.0, hi=1.0 - abs(m_a - m_b))
+def pair_term_max(m_a, m_b, m_b_prime):
+    """Largest |C + C'| a hidden-variable point allows, given its marginals.
 
-
-def pair_term_max(point: LeggettEnsemblePoint, pair: SettingPair, n) -> float:
-    """Largest |C + C'| achievable at this hidden-variable point."""
-    m_a, m_b = point.marginals(n, pair.m)
-    _, m_b_prime = point.marginals(n, pair.m_prime)
-    iv = correlation_interval(m_a, m_b)
-    iv_prime = correlation_interval(m_a, m_b_prime)
-    return max(iv.hi + iv_prime.hi, -(iv.lo + iv_prime.lo))
-
-
-def _pair_term_max_grid(m_a, m_b, m_b_prime):
-    """Vectorized pair_term_max over marginal grids broadcast to (u, v)."""
+    m_a = u.n is Alice's marginal and m_b = v.m, m_b_prime = v.m' are Bob's
+    for the two settings of a pair; scalars or arrays that broadcast.  The
+    four outcome probabilities (1 + alpha m_a + beta m_b + alpha beta C)/4,
+    alpha, beta = +-1, are non-negative exactly when
+    |m_a + m_b| - 1 <= C <= 1 - |m_a - m_b|.  C + C' is largest at both
+    upper ends and smallest at both lower ends, so the largest |C + C'| is
+    the larger of 2 - |m_a - m_b| - |m_a - m_b'| and
+    2 - |m_a + m_b| - |m_a + m_b'|.
+    """
     upper = 2.0 - np.abs(m_a - m_b) - np.abs(m_a - m_b_prime)
     lower = 2.0 - np.abs(m_a + m_b) - np.abs(m_a + m_b_prime)
     return np.maximum(upper, lower)
@@ -146,7 +113,7 @@ def _scan(config: SettingsConfig, grid_size: int):
         cols = np.sort(order[start:start + _CHUNK])
         total = np.zeros((grid_size, cols.size))
         for m_a, m_b, m_b_prime in projections:
-            total += _pair_term_max_grid(m_a, m_b[None, cols], m_b_prime[None, cols])
+            total += pair_term_max(m_a, m_b[None, cols], m_b_prime[None, cols])
         total += sine
         row, col = divmod(int(np.argmax(total)), cols.size)
         value, flat = float(total[row, col]), row * grid_size + int(cols[col])

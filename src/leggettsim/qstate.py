@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,8 +44,8 @@ class InvalidStateError(ValueError):
 class TwoQubitState:
     """A 4x4 density matrix; validated to be Hermitian, unit-trace, PSD.
 
-    The matrix is a read-only copy of the one passed in, so the correlation
-    tensor that ``correlation_tensor`` stores on the state cannot go stale.
+    The matrix is a read-only copy of the one passed in, so ``tensor``,
+    built on first use and kept, cannot go stale.
     """
 
     matrix: np.ndarray
@@ -63,6 +64,11 @@ class TwoQubitState:
             raise InvalidStateError("matrix has an eigenvalue below -1e-10")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+
+    @cached_property
+    def tensor(self) -> CorrelationTensor:
+        """The state's correlation tensor, built on first use."""
+        return correlation_tensor(self)
 
 
 @dataclass(frozen=True)
@@ -103,8 +109,7 @@ def werner(visibility: float, base: str = "phi_minus") -> TwoQubitState:
 def correlation_tensor(state: TwoQubitState) -> CorrelationTensor:
     """T_jk = Tr[rho (sigma_j x sigma_k)] plus the marginal Bloch vectors.
 
-    Always builds; the result is also stored on the state, where
-    ``joint_probabilities`` and ``correlation`` read it.
+    Always builds; ``state.tensor`` keeps one build per state.
     """
     rho = state.matrix
     t = np.empty((3, 3))
@@ -115,15 +120,7 @@ def correlation_tensor(state: TwoQubitState) -> CorrelationTensor:
         b[j] = _real_trace(rho @ np.kron(IDENTITY_2, sj))
         for k, sk in enumerate(PAULI):
             t[j, k] = _real_trace(rho @ np.kron(sj, sk))
-    tensor = CorrelationTensor(t=t, a=a, b=b)
-    object.__setattr__(state, "_tensor", tensor)
-    return tensor
-
-
-def _stored_tensor(state: TwoQubitState) -> CorrelationTensor:
-    """The tensor stored on the state, built on first use."""
-    tensor = state.__dict__.get("_tensor")
-    return correlation_tensor(state) if tensor is None else tensor
+    return CorrelationTensor(t=t, a=a, b=b)
 
 
 def _real_trace(m: np.ndarray) -> float:
@@ -175,7 +172,7 @@ def correlation(state: TwoQubitState, n, m) -> float:
     """Correlation function n^T T m for settings n (Alice) and m (Bob)."""
     n = _check_unit(n, "n")
     m = _check_unit(m, "m")
-    value = float(n @ _stored_tensor(state).t @ m)
+    value = float(n @ state.tensor.t @ m)
     return float(np.clip(value, -1.0, 1.0))
 
 
@@ -196,7 +193,7 @@ def joint_probabilities(state: TwoQubitState, n, m) -> np.ndarray:
     m = _check_unit_rows(m, "m")
     if n.shape != m.shape:
         raise ValueError(f"n and m must have one shape, got {n.shape} and {m.shape}")
-    tensor = _stored_tensor(state)
+    tensor = state.tensor
     an = _rowdot(n, tensor.a)[..., None]
     bm = _rowdot(m, tensor.b)[..., None]
     ntm = _rowdot(n @ tensor.t, m)[..., None]

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from leggettsim import oracle
-from leggettsim.cli import main
+from leggettsim.cli import build_parser, main
 from leggettsim.expsim import ReadoutModel, run_experiment
 from leggettsim.geometry import adapt_to_state, canonical_i26
 from leggettsim.qstate import correlation_tensor, werner
@@ -35,6 +35,19 @@ def simulate_json(capsys, *argv) -> dict:
 
 
 READOUT_ARGS = ("--f0-nuclear", "0.97", "--f1-nuclear", "0.95", "--f0-electron", "0.96")
+
+
+class TestParser:
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_repeated_in_process_sweeps_identical(self, capsys):
+        argv = ("--inequality", "i28", "--shots", "2000", "--steps", "3", "--correct",
+                *READOUT_ARGS)
+        first = run(capsys, "sweep", *argv)
+        second = run(capsys, "sweep", *argv)
+        assert first[0] == 0, first[2]
+        assert first == second
 
 
 class TestThresholds:

@@ -4,13 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from leggettsim import qstate
 from leggettsim.expsim import (
     ConditioningError,
     ExperimentResult,
     ReadoutModel,
     SettingRecord,
-    _correct_readout,
     apply_confusion,
     correct_readout,
     estimate_correlation,
@@ -106,12 +104,13 @@ class TestConfusion:
 class TestCorrectReadout:
     def test_identity(self):
         p = np.array([0.3, 0.2, 0.1, 0.4])
-        assert np.allclose(correct_readout(ReadoutModel.identity(), p), p, atol=1e-15)
+        recovered, clipped = correct_readout(ReadoutModel.identity(), p)
+        assert np.allclose(recovered, p, atol=1e-15) and clipped is False
 
     def test_round_trip(self):
         model = ReadoutModel.from_fidelities(0.97, 0.93, 0.97, 0.93)
         p_true = np.array([0.5, 0.0, 0.0, 0.5])
-        recovered = correct_readout(model, apply_confusion(model, p_true))
+        recovered, _ = correct_readout(model, apply_confusion(model, p_true))
         assert np.allclose(recovered, p_true, atol=1e-10)
 
     def test_nan_rejected(self):
@@ -125,7 +124,8 @@ class TestCorrectReadout:
 
     def test_clipping_renormalizes(self):
         model = ReadoutModel.from_fidelities(0.95, 0.95, 0.95, 0.95)
-        out = correct_readout(model, [1.0, 0.0, 0.0, 0.0])
+        out, clipped = correct_readout(model, [1.0, 0.0, 0.0, 0.0])
+        assert clipped is True
         assert np.all(out >= 0.0)
         assert out.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -135,7 +135,7 @@ class TestCorrectReadout:
             f = rng.uniform(0.9, 1.0, size=4)
             model = ReadoutModel.from_fidelities(*f)
             p = rng.dirichlet(np.ones(4))
-            recovered = correct_readout(model, apply_confusion(model, p))
+            recovered, _ = correct_readout(model, apply_confusion(model, p))
             assert np.allclose(recovered, p, atol=1e-10)
 
 
@@ -331,7 +331,7 @@ class TestRunExperiment:
 
 
 def reference_joint_probabilities(state, n, m):
-    tensor = qstate._stored_tensor(state)
+    tensor = state.tensor
     an = float(tensor.a @ n)
     bm = float(tensor.b @ m)
     ntm = float(n @ tensor.t @ m)
@@ -345,7 +345,7 @@ def reference_joint_probabilities(state, n, m):
     return np.clip(probs, 0.0, None)
 
 
-def reference_correct_readout(model, p_measured):
+def referencecorrect_readout(model, p_measured):
     p = np.linalg.solve(model.joint(), p_measured)
     clipped = bool(np.any(p < -1e-12))
     p = np.clip(p, 0.0, None)
@@ -371,7 +371,7 @@ def reference_experiment(state, config, shots, seed, readout, correct, step):
         c_raw, sigma_raw = reference_estimate_correlation(counts)
         c_corr = sigma_corr = None
         if correct:
-            p_corr, clipped = reference_correct_readout(readout, counts / shots)
+            p_corr, clipped = referencecorrect_readout(readout, counts / shots)
             clip_events += int(clipped)
             c_corr = float(p_corr[0] + p_corr[3] - p_corr[1] - p_corr[2])
             sigma_corr = math.sqrt(max(1.0 - c_corr * c_corr, 0.0) / shots)
@@ -459,7 +459,7 @@ class TestStackedMatchesReference:
             probs = joint_probabilities(state, n, m)
             reported = apply_confusion(readout, probs)
             counts = np.array([rng.multinomial(30, p / p.sum()) for p in reported])
-            corrected, clipped = _correct_readout(readout, counts / 30)
+            corrected, clipped = correct_readout(readout, counts / 30)
             c_hat, sigma = estimate_correlation(counts)
             for i in range(8):
                 row = joint_probabilities(state, n[i], m[i])
@@ -468,10 +468,10 @@ class TestStackedMatchesReference:
                 row = apply_confusion(readout, probs[i])
                 assert row.tobytes() == reported[i].tobytes()
                 assert row.tobytes() == (readout.joint() @ probs[i]).tobytes()
-                row, row_clipped = _correct_readout(readout, counts[i] / 30)
+                row, row_clipped = correct_readout(readout, counts[i] / 30)
                 assert row.tobytes() == corrected[i].tobytes()
                 assert row_clipped is bool(clipped[i])
-                ref_row, ref_clipped = reference_correct_readout(readout, counts[i] / 30)
+                ref_row, ref_clipped = referencecorrect_readout(readout, counts[i] / 30)
                 assert row.tobytes() == ref_row.tobytes() and row_clipped == ref_clipped
                 single = estimate_correlation(counts[i])
                 assert single == (float(c_hat[i]), float(sigma[i]))
@@ -482,7 +482,7 @@ class TestStackedMatchesReference:
         state, readout = random_state(np.random.default_rng(3)), ReadoutModel.identity()
         assert joint_probabilities(state, [0, 0, 1], [1, 0, 0]).shape == (4,)
         assert apply_confusion(readout, [0.25] * 4).shape == (4,)
-        p, clipped = _correct_readout(readout, [0.25] * 4)
+        p, clipped = correct_readout(readout, [0.25] * 4)
         assert p.shape == (4,) and clipped is False
         assert joint_probabilities(state, np.eye(3), np.eye(3)).shape == (3, 4)
 

@@ -264,6 +264,17 @@ class TestSettingsConfigValidation:
         with pytest.raises(ValueError, match="outside range"):
             dataclasses.replace(canonical_i26(0.5), pairing=pairing)
 
+    def test_no_pairs(self):
+        with pytest.raises(ValueError, match="at least one setting pair"):
+            SettingsConfig(alice=(Z,), pairs=(), pairing=(), kind=KINDS["i26"])
+
+    @pytest.mark.parametrize("entry", [1.0, True])
+    def test_pairing_entry_not_int(self, entry):
+        # both pass the range test: 1.0 would fail later as TypeError, True
+        # would silently pick Alice vector 1
+        with pytest.raises(ValueError, match="must be int indices"):
+            dataclasses.replace(canonical_i26(0.5), pairing=(0, 0, entry))
+
     def test_pairs_share_phi(self):
         config = canonical_i26(math.radians(30))
         odd = make_pair(X, Z, math.radians(80))
@@ -276,6 +287,10 @@ class TestSettingsConfigValidation:
 
 
 class TestSerialization:
+    def test_missing_keys_named(self):
+        with pytest.raises(ValueError, match="missing phi_deg, alice, pairs, pairing$"):
+            SettingsConfig.from_json_dict({"kind": "i26"})
+
     def test_round_trip(self):
         config = canonical_i28(math.radians(44.42))
         data = json.loads(json.dumps(config.to_json_dict()))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -9,6 +10,7 @@ from leggettsim.inequalities import (
     I26,
     I28,
     KINDS,
+    InequalityKind,
     evaluate,
     f_min,
     max_violation,
@@ -29,6 +31,11 @@ class TestKinds:
         assert (I28.num_pairs, I28.bound) == (4, 8.0)
         assert I28.sine_coeff == pytest.approx(3.2659863237109046, abs=1e-15)
         assert set(KINDS) == {"i26", "i28"}
+
+    def test_bound_is_two_per_pair(self):
+        kind = InequalityKind(tag="i210", num_pairs=5, sine_coeff=1.0)
+        assert kind.bound == 10.0
+        assert "bound" not in {f.name for f in dataclasses.fields(InequalityKind)}
 
 
 class TestEvaluate:

@@ -18,71 +18,106 @@ from leggettsim.geometry import (
     make_pair,
 )
 from leggettsim.inequalities import KINDS, quantum_value
-from leggettsim.oracle import (
-    LeggettEnsemblePoint,
-    _pair_term_max_grid,
-    correlation_interval,
-    pair_term_max,
-    verify_bound,
-)
+from leggettsim.oracle import pair_term_max, verify_bound
 
 X = np.array([1.0, 0.0, 0.0])
 Y = np.array([0.0, 1.0, 0.0])
+SIGNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
 def probabilities(m_a, m_b, c):
-    return [
-        0.25 * (1 + alpha * m_a + beta * m_b + alpha * beta * c)
-        for alpha in (1, -1)
-        for beta in (1, -1)
-    ]
+    return [0.25 * (1 + alpha * m_a + beta * m_b + alpha * beta * c) for alpha, beta in SIGNS]
+
+
+def admissible_interval(m_a, m_b):
+    """(lo, hi) of the correlations C with every P(alpha, beta) >= 0.
+
+    Each outcome gives 1 + alpha m_a + beta m_b + alpha beta C >= 0: a lower
+    end for C where alpha beta = +1 and an upper end where it is -1.
+    """
+    lo, hi = -math.inf, math.inf
+    for alpha, beta in SIGNS:
+        edge = -(1 + alpha * m_a + beta * m_b) / (alpha * beta)
+        if alpha * beta > 0:
+            lo = max(lo, edge)
+        else:
+            hi = min(hi, edge)
+    return lo, hi
+
+
+def enumerated_pair_term_max(m_a, m_b, m_b_prime):
+    """Largest |C + C'| over the corners of the box of admissible (C, C').
+
+    The test reference for the kernel, from the definition: |C + C'| is
+    convex, so its maximum over the box lies at a corner.
+    """
+    box = admissible_interval(m_a, m_b), admissible_interval(m_a, m_b_prime)
+    return max(abs(c + c_prime) for c in box[0] for c_prime in box[1])
+
+
+def marginals(u, v, n, pair):
+    """(u.n, v.m, v.m') of a hidden-variable point (u, v) for one pair."""
+    return float(u @ n), float(v @ pair.m), float(v @ pair.m_prime)
+
+
+def point_total(u, v, config):
+    """Sum of the pair terms' maxima at one hidden-variable point."""
+    return sum(
+        float(pair_term_max(*marginals(u, v, config.alice[config.pairing[i]], pair)))
+        for i, pair in enumerate(config.pairs)
+    )
 
 
 class TestCorrelationInterval:
     def test_unconstrained(self):
-        iv = correlation_interval(0.0, 0.0)
-        assert (iv.lo, iv.hi) == (-1.0, 1.0)
+        assert admissible_interval(0.0, 0.0) == (-1.0, 1.0)
 
     def test_deterministic(self):
-        iv = correlation_interval(1.0, 1.0)
-        assert (iv.lo, iv.hi) == (1.0, 1.0)
+        assert admissible_interval(1.0, 1.0) == (1.0, 1.0)
 
     def test_opposite_marginals(self):
-        iv = correlation_interval(0.5, -0.5)
-        assert (iv.lo, iv.hi) == (-1.0, 0.0)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            correlation_interval(1.5, 0.0)
+        assert admissible_interval(0.5, -0.5) == (-1.0, 0.0)
 
     @given(st.floats(-1, 1), st.floats(-1, 1))
     @settings(max_examples=200)
     def test_endpoints_feasible_exterior_infeasible(self, m_a, m_b):
-        iv = correlation_interval(m_a, m_b)
-        assert iv.lo <= iv.hi + 1e-15
-        for c in (iv.lo, iv.hi):
+        lo, hi = admissible_interval(m_a, m_b)
+        assert lo <= hi + 1e-15
+        for c in (lo, hi):
             assert min(probabilities(m_a, m_b, c)) >= -1e-12
-        if iv.hi + 1e-6 <= 1.0:
-            assert min(probabilities(m_a, m_b, iv.hi + 1e-6)) < 0
-        if iv.lo - 1e-6 >= -1.0:
-            assert min(probabilities(m_a, m_b, iv.lo - 1e-6)) < 0
+        if hi + 1e-6 <= 1.0:
+            assert min(probabilities(m_a, m_b, hi + 1e-6)) < 0
+        if lo - 1e-6 >= -1.0:
+            assert min(probabilities(m_a, m_b, lo - 1e-6)) < 0
 
 
 class TestPairTermMax:
     def test_forced_correlations(self):
         pair = make_pair(Z, X, 0.0)
-        point = LeggettEnsemblePoint(u=Z, v=Z)
-        assert pair_term_max(point, pair, Z) == pytest.approx(2.0, abs=1e-12)
+        assert pair_term_max(*marginals(Z, Z, Z, pair)) == pytest.approx(2.0, abs=1e-12)
 
     def test_all_marginals_zero(self):
         pair = make_pair(Z, X, 0.3)
-        point = LeggettEnsemblePoint(u=X, v=Y)
-        assert pair_term_max(point, pair, Z) == pytest.approx(2.0, abs=1e-12)
+        assert pair_term_max(*marginals(X, Y, Z, pair)) == pytest.approx(2.0, abs=1e-12)
 
     def test_difference_direction_bound(self):
         pair = make_pair(Z, X, math.radians(60))
-        point = LeggettEnsemblePoint(u=Z, v=X)
-        assert pair_term_max(point, pair, Z) <= 1.0 + 1e-12
+        assert pair_term_max(*marginals(Z, X, Z, pair)) <= 1.0 + 1e-12
+
+    @given(st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1))
+    @settings(max_examples=500)
+    def test_matches_enumeration(self, m_a, m_b, m_b_prime):
+        value = pair_term_max(m_a, m_b, m_b_prime)
+        assert value == pytest.approx(enumerated_pair_term_max(m_a, m_b, m_b_prime), abs=1e-14)
+
+    def test_broadcasts(self):
+        rng = np.random.default_rng(5)
+        m_a = rng.uniform(-1, 1, size=(7, 1))
+        m_b, m_b_prime = rng.uniform(-1, 1, size=(2, 1, 9))
+        grid = pair_term_max(m_a, m_b, m_b_prime)
+        assert grid.shape == (7, 9)
+        for i, j in np.ndindex(grid.shape):
+            assert grid[i, j] == pair_term_max(m_a[i, 0], m_b[0, j], m_b_prime[0, j])
 
     @given(unit_vectors(), unit_vectors(), unit_vectors(), st.floats(0.0, math.pi))
     @settings(max_examples=200, deadline=None)
@@ -91,8 +126,7 @@ class TestPairTermMax:
         e_hat = np.cross(u, e_seed)
         e_hat /= np.linalg.norm(e_hat)
         pair = make_pair(u, e_hat, phi)
-        point = LeggettEnsemblePoint(u=u, v=v)
-        value = pair_term_max(point, pair, n)
+        value = pair_term_max(*marginals(u, v, n, pair))
         assert value <= 2.0 - abs(float(v @ (pair.m - pair.m_prime))) + 1e-12
 
     @given(
@@ -107,9 +141,8 @@ class TestPairTermMax:
             e_hat = np.cross(bisector, X if abs(bisector @ X) < 0.9 else Y)
         e_hat /= np.linalg.norm(e_hat)
         pair = make_pair(bisector, e_hat, phi)
-        point = LeggettEnsemblePoint(u=u, v=v)
-        value = pair_term_max(point, pair, n)
-        assert value <= 2.0 - abs(float(point.v @ (pair.m - pair.m_prime))) + 1e-12
+        value = pair_term_max(*marginals(u, v, n, pair))
+        assert value <= 2.0 - abs(float(v @ (pair.m - pair.m_prime))) + 1e-12
 
 
 class TestOracleMax:
@@ -176,12 +209,7 @@ class TestPerLambdaInequality:
         vs /= np.linalg.norm(vs, axis=1, keepdims=True)
         ceiling = kind.bound - kind.sine_coeff * math.sin(phi / 2.0)
         for u, v in zip(us, vs):
-            point = LeggettEnsemblePoint(u=u, v=v)
-            total = sum(
-                pair_term_max(point, pair, config.alice[config.pairing[i]])
-                for i, pair in enumerate(config.pairs)
-            )
-            assert total <= ceiling + 1e-12
+            assert point_total(u, v, config) <= ceiling + 1e-12
 
     def test_mixtures_never_beat_single_points(self):
         # convexity lemma: a two-point mixture's achievable value is a convex
@@ -195,14 +223,8 @@ class TestPerLambdaInequality:
             weight = rng.uniform()
             values = []
             for u, v in zip(*pts):
-                point = LeggettEnsemblePoint(u=u / np.linalg.norm(u), v=v / np.linalg.norm(v))
-                values.append(
-                    sum(
-                        pair_term_max(point, pair, config.alice[config.pairing[i]])
-                        for i, pair in enumerate(config.pairs)
-                    )
-                    + kind.sine_coeff * math.sin(phi / 2.0)
-                )
+                u, v = u / np.linalg.norm(u), v / np.linalg.norm(v)
+                values.append(point_total(u, v, config) + kind.sine_coeff * math.sin(phi / 2.0))
             mixed = weight * values[0] + (1 - weight) * values[1]
             assert mixed <= max(values) + 1e-12
             assert mixed <= kind.bound + 1e-12
@@ -219,7 +241,7 @@ def exhaustive_scan(config, grid_size):
         m_a = (u_grid @ n)[:, None]
         m_b = (v_grid @ pair.m)[None, :]
         m_b_prime = (v_grid @ pair.m_prime)[None, :]
-        total += _pair_term_max_grid(m_a, m_b, m_b_prime)
+        total += pair_term_max(m_a, m_b, m_b_prime)
     total += kind.sine_coeff * math.sin(config.phi / 2.0)
     flat = int(np.argmax(total))  # first occurrence: lowest-index tie-break
     ui, vi = divmod(flat, grid_size)
@@ -316,16 +338,14 @@ class TestScanLimits:
         st.floats(0.0, math.pi),
     )
     @settings(max_examples=300, deadline=None)
-    def test_kernel_matches_pair_term_max_under_ceiling(self, u, v, n, bisector, other, phi):
+    def test_kernel_matches_enumeration_under_ceiling(self, u, v, n, bisector, other, phi):
         e_hat = np.cross(bisector, other)
         if np.linalg.norm(e_hat) < 1e-3:
             e_hat = np.cross(bisector, X if abs(bisector @ X) < 0.9 else Y)
         e_hat /= np.linalg.norm(e_hat)
         pair = make_pair(bisector, e_hat, phi)
-        point = LeggettEnsemblePoint(u=u, v=v)
-        m_a, m_b = point.marginals(n, pair.m)
-        _, m_b_prime = point.marginals(n, pair.m_prime)
-        term = float(_pair_term_max_grid(m_a, m_b, m_b_prime))
-        assert term == pytest.approx(pair_term_max(point, pair, n), abs=1e-14)
+        m_a, m_b, m_b_prime = marginals(u, v, n, pair)
+        term = float(pair_term_max(m_a, m_b, m_b_prime))
+        assert term == pytest.approx(enumerated_pair_term_max(m_a, m_b, m_b_prime), abs=1e-14)
         # the column ceiling the pruned scan relies on
         assert term <= 2.0 - abs(m_b - m_b_prime) + 1e-12

@@ -211,7 +211,7 @@ class TestNanRejected:
         # stands between it and the caller
         state = werner(0.5)
         nan = np.full(3, np.nan)
-        object.__setattr__(state, "_tensor", CorrelationTensor(t=np.eye(3), a=nan, b=nan))
+        state.__dict__["tensor"] = CorrelationTensor(t=np.eye(3), a=nan, b=nan)
         with pytest.raises(InvalidStateError, match="negative joint probability nan"):
             joint_probabilities(state, Z, Z)
 
@@ -250,7 +250,7 @@ class TestTensorCache:
     def test_stored_equals_rebuild_werner(self, v):
         state = werner(v)
         joint_probabilities(state, Z, X)
-        stored = qstate._stored_tensor(state)
+        stored = state.tensor
         assert same_bits(stored, correlation_tensor(TwoQubitState(state.matrix)))
 
     def test_stored_equals_rebuild_random(self):
@@ -258,7 +258,7 @@ class TestTensorCache:
         for _ in range(50):
             state = random_state(rng)
             correlation(state, X, Y)
-            stored = qstate._stored_tensor(state)
+            stored = state.tensor
             assert same_bits(stored, correlation_tensor(TwoQubitState(state.matrix)))
 
     def test_built_once_per_state(self, monkeypatch):
@@ -276,10 +276,14 @@ class TestTensorCache:
             correlation(state, n, m)
         assert builds == [state]
 
-    def test_explicit_build_is_stored(self):
+    def test_tensor_kept_on_state(self):
         state = werner(0.8)
-        tensor = correlation_tensor(state)
-        assert qstate._stored_tensor(state) is tensor
+        tensor = state.tensor
+        assert state.tensor is tensor
+        # the builder is pure: it neither reads nor replaces the kept tensor
+        rebuilt = correlation_tensor(state)
+        assert rebuilt is not tensor and same_bits(rebuilt, tensor)
+        assert state.tensor is tensor
 
     def test_matrix_read_only(self):
         state = werner(0.9)
