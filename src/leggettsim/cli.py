@@ -49,6 +49,11 @@ SWEEP_COLUMNS = (
 )
 
 
+# sweep steps made and written per block: a sampled block is one stack,
+# and memory is bounded by one block
+_SWEEP_BLOCK = 64
+
+
 class UsageError(ValueError):
     pass
 
@@ -218,62 +223,70 @@ def cmd_sweep(args) -> int:
 
 
 def _sweep_rows(config: RunConfig):
-    """Yield the rows of a phi sweep one step at a time."""
-    kind = inequalities.KINDS[config.inequality]
-    if config.shots > 0:
-        experiment = _experiment(config)
+    """Yield the rows of a phi sweep in step order.
 
-    for i in range(config.steps):
-        if config.steps == 1:
-            phi_deg = config.phi_start
-        else:
-            phi_deg = config.phi_start + i * (config.phi_stop - config.phi_start) / (
-                config.steps - 1
-            )
-        phi = math.radians(phi_deg)
-        analytic = inequalities.quantum_value(kind, phi, config.visibility)
-        if config.shots == 0:
+    Steps go in blocks of ``_SWEEP_BLOCK``, and a sampled sweep runs each
+    block as one ``run_experiments`` stack.  A block's rows are yielded once
+    it is done, so memory is bounded by one block whatever the number of
+    steps; each row equals that of its step run alone.
+    """
+    kind = inequalities.KINDS[config.inequality]
+    experiment = _experiment(config) if config.shots > 0 else None
+    for first in range(0, config.steps, _SWEEP_BLOCK):
+        stop = min(first + _SWEEP_BLOCK, config.steps)
+        phis_deg = [_sweep_phi_deg(config, i) for i in range(first, stop)]
+        phis = [math.radians(phi_deg) for phi_deg in phis_deg]
+        results = experiment(phis, first) if experiment else [None] * len(phis)
+        for phi_deg, phi, result in zip(phis_deg, phis, results):
+            analytic = inequalities.quantum_value(kind, phi, config.visibility)
+            if result is None:
+                yield (
+                    phi_deg,
+                    analytic,
+                    kind.bound,
+                    None,
+                    None,
+                    None,
+                    None,
+                    None,
+                    None,
+                    analytic > kind.bound,
+                    None,
+                )
+                continue
+            if config.correct:
+                value, sigma = result.corrected.value, result.sigma_corrected
+            else:
+                value, sigma = result.raw.value, result.sigma_raw
             yield (
                 phi_deg,
                 analytic,
                 kind.bound,
-                None,
-                None,
-                None,
-                None,
-                None,
-                None,
-                analytic > kind.bound,
-                None,
+                result.raw.value,
+                result.sigma_raw,
+                result.corrected.value if config.correct else None,
+                result.sigma_corrected if config.correct else None,
+                result.sigmas_violation_raw,
+                result.sigmas_violation_corrected if config.correct else None,
+                value > kind.bound,
+                abs(value - kind.bound) < 3.0 * sigma,
             )
-            continue
-        result = experiment(phi, i)
-        if config.correct:
-            value, sigma = result.corrected.value, result.sigma_corrected
-        else:
-            value, sigma = result.raw.value, result.sigma_raw
-        yield (
-            phi_deg,
-            analytic,
-            kind.bound,
-            result.raw.value,
-            result.sigma_raw,
-            result.corrected.value if config.correct else None,
-            result.sigma_corrected if config.correct else None,
-            result.sigmas_violation_raw,
-            result.sigmas_violation_corrected if config.correct else None,
-            value > kind.bound,
-            abs(value - kind.bound) < 3.0 * sigma,
-        )
+
+
+def _sweep_phi_deg(config: RunConfig, i: int) -> float:
+    """The angle of sweep step ``i``, in degrees."""
+    if config.steps == 1:
+        return config.phi_start
+    return config.phi_start + i * (config.phi_stop - config.phi_start) / (config.steps - 1)
 
 
 def _experiment(config: RunConfig):
-    """Return run(phi, step), the configured sampled experiment at one angle.
+    """Return run(phis, first_step), the configured sampled experiments.
 
     The Werner state, its correlation tensor and the readout model are built
-    once; each call adapts the canonical settings at phi (radians) to the
-    state and runs them with the streams of sweep step ``step``.  ``simulate``
-    is step 0.
+    once; each call adapts the canonical settings at each phi (radians) to
+    the state and runs them as one block, experiment j with the streams of
+    sweep step ``first_step + j``.  ``simulate`` is a block of one at step 0.
     """
     from . import expsim, geometry, qstate
 
@@ -281,15 +294,15 @@ def _experiment(config: RunConfig):
     state = qstate.werner(config.visibility, config.bell)
     readout = config.readout_model()
 
-    def run(phi: float, step: int) -> expsim.ExperimentResult:
-        return expsim.run_experiment(
+    def run(phis, first_step: int) -> list[expsim.ExperimentResult]:
+        return expsim.run_experiments(
             state,
-            geometry.adapt_to_state(state.tensor, canonical(phi)),
+            [geometry.adapt_to_state(state.tensor, canonical(phi)) for phi in phis],
             shots_per_setting=config.shots,
             seed=config.seed,
             readout=readout,
             correct=config.correct,
-            step=step,
+            first_step=first_step,
         )
 
     return run
@@ -393,7 +406,7 @@ def cmd_simulate(args) -> int:
     if config.shots < 1:
         raise UsageError("shots: simulate requires shots >= 1")
     _check_phi_deg(args.phi)
-    result = _experiment(config)(math.radians(args.phi), 0)
+    (result,) = _experiment(config)([math.radians(args.phi)], 0)
     _write_text(json.dumps(result.to_json_dict(), indent=2) + "\n", config.out)
     return 0
 
@@ -431,30 +444,25 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--phi-stop", dest="phi_stop", type=float, default=None)
     sweep.add_argument("--steps", type=int, default=None)
     sweep.add_argument("--format", choices=("csv", "json"), default=None)
-    sweep.set_defaults(func=cmd_sweep)
 
     verify = subs.add_parser("verify", help="grid check of the hidden-variable bound")
     verify.add_argument("--inequality", choices=tuple(inequalities.KINDS), required=True)
     verify.add_argument("--phi", type=float, action="append", help="degrees; repeatable")
     verify.add_argument("--grid-size", dest="grid_size", type=int, default=500)
     verify.add_argument("--out", default=None)
-    verify.set_defaults(func=cmd_verify)
 
     thresholds = subs.add_parser("thresholds", help="visibility/fidelity thresholds")
     thresholds.add_argument("--inequality", choices=tuple(inequalities.KINDS), required=True)
     thresholds.add_argument("--out", default=None)
-    thresholds.set_defaults(func=cmd_thresholds)
 
     report = subs.add_parser("report", help="sigma arithmetic on published values")
     report.add_argument("--json", action="store_true")
     report.add_argument("--from-file", dest="from_file", default=None)
     report.add_argument("--out", default=None)
-    report.set_defaults(func=cmd_report)
 
     simulate = subs.add_parser("simulate", help="single-phi experiment simulation")
     _add_run_options(simulate)
     simulate.add_argument("--phi", type=float, required=True, help="degrees")
-    simulate.set_defaults(func=cmd_simulate)
 
     return parser
 
@@ -465,8 +473,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    # looked up at call time, so a rebound cmd_* is the one that runs
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except IOError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

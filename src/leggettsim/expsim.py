@@ -1,14 +1,16 @@
 """Finite-shot Monte Carlo simulation of the correlation experiment.
 
-Sampling uses numpy's PCG64 generator.  ``run_experiment`` is the only
-sampler; its one seeding rule is SeedSequence([seed, setting_index, step]),
-with ``simulate`` as step 0.  Seeds and steps lie in [0, 2**32), one word
-each, so no two streams coincide and results do not depend on execution
-order or platform.
+Sampling uses numpy's PCG64 generator.  ``run_experiments`` is the only
+sampler; it runs a block of experiments, experiment j at step
+``first_step + j``, and ``run_experiment`` is its block of one.  Its one
+seeding rule is SeedSequence([seed, setting_index, step]), with
+``simulate`` as step 0.  Seeds and steps lie in [0, 2**32), one word each,
+so no two streams coincide and results do not depend on execution order,
+block size or platform.
 
-An experiment handles its S settings as stacked arrays: settings n and m
-as (S, 3), probabilities and counts as (S, 4), one row per setting in
-setting order.  ``joint_probabilities``, ``apply_confusion``,
+A block handles the settings of all its experiments as stacked arrays:
+settings n and m as (S, 3), probabilities and counts as (S, 4), one row
+per setting in block order.  ``joint_probabilities``, ``apply_confusion``,
 ``correct_readout`` and ``estimate_correlation`` each take either one row
 or the whole stack, and row i of a stacked call has the bits of the call on
 row i alone.  Only the draws loop over settings: each setting still gets
@@ -24,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -230,84 +232,125 @@ def run_experiment(
     correct: bool = False,
     step: int = 0,
 ) -> ExperimentResult:
-    """Sample every setting, estimate correlations and assemble the result.
+    """One experiment: ``run_experiments`` on a block of one at ``step``.
 
-    Each setting draws its outcome counts, ordered (++, +-, -+, --), from
-    SeedSequence([seed, setting_index, step]); ``simulate`` is step 0 and
-    sweep step k is step k.  ``seed`` and ``step`` must lie in [0, 2**32).
-    The confusion model is folded into the sampling distribution.  The
-    records' counts are the rows of one read-only (S, 4) array.  The
-    inequality is ``config.kind``; ``evaluate`` rejects a wrong pair count.
+    ``simulate`` is step 0 and sweep step k is step k.
+    """
+    return run_experiments(
+        state, [config], shots_per_setting, seed, readout, correct, first_step=step
+    )[0]
+
+
+def run_experiments(
+    state: TwoQubitState,
+    configs: Sequence[SettingsConfig],
+    shots_per_setting: int,
+    seed: int,
+    readout: Optional[ReadoutModel] = None,
+    correct: bool = False,
+    first_step: int = 0,
+) -> list[ExperimentResult]:
+    """Sample a block of experiments as one stack and assemble one result each.
+
+    Experiment j runs ``configs[j]`` with the streams of step
+    ``first_step + j``: each of its settings draws its outcome counts,
+    ordered (++, +-, -+, --), from SeedSequence([seed, setting_index,
+    step]).  ``seed`` and every step must lie in [0, 2**32).  The settings
+    of all experiments are stacked in block order for one pass each of
+    probabilities, confusion, estimation and correction; the confusion
+    model is folded into the sampling distribution.  Each result's records
+    hold rows of one read-only count array shared by the block, and its
+    ``clip_events`` counts its own settings only.  The inequality of an
+    experiment is its ``config.kind``; ``evaluate`` rejects a wrong pair
+    count.
     """
     if shots_per_setting < 1:
         raise ValueError(f"shots must be >= 1, got {shots_per_setting}")
-    for name, value in (("seed", seed), ("step", step)):
+    if not configs:
+        raise ValueError("need at least one configuration")
+    last_step = first_step + len(configs) - 1
+    for name, value in (("seed", seed), ("step", first_step), ("step", last_step)):
         if not 0 <= value < 2**32:
             raise ValueError(f"{name} must lie in [0, 2**32), got {value}")
     if readout is None:
         readout = ReadoutModel.identity()
-    settings = config.settings()
+    blocks = [config.settings() for config in configs]
+    settings = [setting for block in blocks for setting in block]
     n = np.array([setting[2] for setting in settings])
     m = np.array([setting[3] for setting in settings])
     p_phys = apply_confusion(readout, joint_probabilities(state, n, m))
     p_phys /= p_phys.sum(axis=1, keepdims=True)
     counts = np.empty(p_phys.shape, dtype=np.int64)
-    for row, (setting_id, _, _, _) in enumerate(settings):
-        rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence([seed, setting_id, step]))
-        )
-        counts[row] = rng.multinomial(shots_per_setting, p_phys[row])
+    row = 0
+    for step, block in enumerate(blocks, first_step):
+        for setting_id, _, _, _ in block:
+            rng = np.random.Generator(
+                np.random.PCG64(np.random.SeedSequence([seed, setting_id, step]))
+            )
+            counts[row] = rng.multinomial(shots_per_setting, p_phys[row])
+            row += 1
     # the records' count rows are views of this array
     counts.setflags(write=False)
     c_raw, sigma_raw = (column.tolist() for column in estimate_correlation(counts))
     c_corr = sigma_corr = [None] * len(settings)
-    clip_events = 0
+    clipped = [False] * len(settings)
     if correct:
-        p_corr, clipped = correct_readout(readout, counts / shots_per_setting)
-        clip_events = int(clipped.sum())
+        p_corr, clipped_rows = correct_readout(readout, counts / shots_per_setting)
         c = p_corr[:, 0] + p_corr[:, 3] - p_corr[:, 1] - p_corr[:, 2]
         c_corr, sigma_corr = c.tolist(), _sigma(c, shots_per_setting).tolist()
-    records = [
-        SettingRecord(
-            setting_id=setting_id,
-            alice_index=alice_idx,
-            n=n_i,
-            m=m_i,
-            counts=counts[row],
-            c_raw=c_raw[row],
-            sigma_raw=sigma_raw[row],
-            c_corrected=c_corr[row],
-            sigma_corrected=sigma_corr[row],
+        clipped = clipped_rows.tolist()
+
+    results = []
+    start = 0
+    for config, block in zip(configs, blocks):
+        rows = slice(start, start + len(block))
+        start = rows.stop
+        records = [
+            SettingRecord(
+                setting_id=setting_id,
+                alice_index=alice_idx,
+                n=n_i,
+                m=m_i,
+                counts=counts[row],
+                c_raw=c_raw[row],
+                sigma_raw=sigma_raw[row],
+                c_corrected=c_corr[row],
+                sigma_corrected=sigma_corr[row],
+            )
+            for row, (setting_id, alice_idx, n_i, m_i) in enumerate(block, rows.start)
+        ]
+        raw, sigma_raw_total, nsig_raw = _assemble(config, c_raw[rows], sigma_raw[rows])
+        corrected = sigma_corr_total = nsig_corr = None
+        if correct:
+            corrected, sigma_corr_total, nsig_corr = _assemble(
+                config, c_corr[rows], sigma_corr[rows]
+            )
+        results.append(
+            ExperimentResult(
+                config=config,
+                shots_per_setting=shots_per_setting,
+                seed=seed,
+                settings=tuple(records),
+                raw=raw,
+                sigma_raw=sigma_raw_total,
+                sigmas_violation_raw=nsig_raw,
+                corrected=corrected,
+                sigma_corrected=sigma_corr_total,
+                sigmas_violation_corrected=nsig_corr,
+                clip_events=sum(clipped[rows]),
+            )
         )
-        for row, (setting_id, alice_idx, n_i, m_i) in enumerate(settings)
-    ]
+    return results
 
+
+def _assemble(config: SettingsConfig, values, sigmas):
+    """(inequality value, total sigma, sigmas of violation) of one experiment."""
     kind = config.kind
-
-    def assemble(values, sigmas):
-        ineq = evaluate(kind, config.phi, list(zip(values[::2], values[1::2])))
-        # pair terms treated as sign-fixed; invalid near |C + C'| = 0
-        sigma = math.sqrt(sum(s * s for s in sigmas))
-        if sigma == 0.0:
-            excess = ineq.value - kind.bound
-            nsig = math.inf if excess > 0 else (-math.inf if excess < 0 else 0.0)
-            return ineq, sigma, nsig
-        return ineq, sigma, sigma_violation(ineq.value, sigma, kind)
-
-    raw, sigma_raw_total, nsig_raw = assemble(c_raw, sigma_raw)
-    corrected = sigma_corr_total = nsig_corr = None
-    if correct:
-        corrected, sigma_corr_total, nsig_corr = assemble(c_corr, sigma_corr)
-    return ExperimentResult(
-        config=config,
-        shots_per_setting=shots_per_setting,
-        seed=seed,
-        settings=tuple(records),
-        raw=raw,
-        sigma_raw=sigma_raw_total,
-        sigmas_violation_raw=nsig_raw,
-        corrected=corrected,
-        sigma_corrected=sigma_corr_total,
-        sigmas_violation_corrected=nsig_corr,
-        clip_events=clip_events,
-    )
+    ineq = evaluate(kind, config.phi, list(zip(values[::2], values[1::2])))
+    # pair terms treated as sign-fixed; invalid near |C + C'| = 0
+    sigma = math.sqrt(sum(s * s for s in sigmas))
+    if sigma == 0.0:
+        excess = ineq.value - kind.bound
+        nsig = math.inf if excess > 0 else (-math.inf if excess < 0 else 0.0)
+        return ineq, sigma, nsig
+    return ineq, sigma, sigma_violation(ineq.value, sigma, kind)

@@ -101,20 +101,55 @@ class SettingsConfig:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SettingsConfig":
+        """The configuration ``to_json_dict`` wrote; malformed data raise ValueError.
+
+        ``pairing`` holds 1-based Alice indices.  Errors name the field, and
+        the index of the pair or Alice vector, as the file has them.
+        """
+        if not isinstance(data, dict):
+            raise ValueError(f"settings config: expected an object, got {data!r}")
         keys = ("kind", "phi_deg", "alice", "pairs", "pairing")
         missing = [key for key in keys if key not in data]
         if missing:
             raise ValueError(f"settings config: missing {', '.join(missing)}")
-        phi = math.radians(data["phi_deg"])
-        pairs = tuple(
-            make_pair(np.asarray(p["u"], float), np.asarray(p["e_hat"], float), phi)
-            for p in data["pairs"]
-        )
+        phi_deg = data["phi_deg"]
+        if isinstance(phi_deg, bool) or not isinstance(phi_deg, (int, float)):
+            raise ValueError(f"settings config: phi_deg: expected a number, got {phi_deg!r}")
+        for key in keys[2:]:
+            if not isinstance(data[key], list):
+                raise ValueError(f"settings config: {key}: expected a list, got {data[key]!r}")
+        phi = math.radians(phi_deg)
+        pairs = []
+        for i, p in enumerate(data["pairs"]):
+            where = f"settings config: pairs[{i}]"
+            if not isinstance(p, dict):
+                raise ValueError(f"{where}: expected an object, got {p!r}")
+            missing = [key for key in ("u", "e_hat") if key not in p]
+            if missing:
+                raise ValueError(f"{where}: missing {', '.join(missing)}")
+            # numpy raises TypeError on values it cannot convert, such as objects
+            try:
+                pairs.append(make_pair(p["u"], p["e_hat"], phi))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{where}: {exc}") from exc
+        alice = []
+        for i, n in enumerate(data["alice"]):
+            try:
+                alice.append(_check_unit(n, "n"))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"settings config: alice[{i}]: {exc}") from exc
+        pairing = data["pairing"]
+        # 1-based here; True and 1.0 are not indices
+        if not all(type(i) is int and 1 <= i <= len(alice) for i in pairing):
+            raise ValueError(
+                f"settings config: pairing {pairing}: expected int indices in 1..{len(alice)}"
+            )
+        kind = data["kind"]
         return cls(
-            alice=tuple(np.asarray(n, float) for n in data["alice"]),
-            pairs=pairs,
-            pairing=tuple(i - 1 for i in data["pairing"]),
-            kind=KINDS.get(data["kind"], data["kind"]),
+            alice=tuple(alice),
+            pairs=tuple(pairs),
+            pairing=tuple(i - 1 for i in pairing),
+            kind=KINDS.get(kind, kind) if isinstance(kind, str) else kind,
         )
 
 

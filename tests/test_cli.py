@@ -7,10 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from leggettsim import oracle
+from leggettsim import cli, expsim, oracle
 from leggettsim.cli import build_parser, main
 from leggettsim.expsim import ReadoutModel, run_experiment
-from leggettsim.geometry import adapt_to_state, canonical_i26
+from leggettsim.geometry import adapt_to_state, canonical_i26, canonical_i28
 from leggettsim.qstate import correlation_tensor, werner
 
 
@@ -48,6 +48,14 @@ class TestParser:
         second = run(capsys, "sweep", *argv)
         assert first[0] == 0, first[2]
         assert first == second
+
+    def test_dispatch_reaches_a_rebound_command(self, capsys, monkeypatch):
+        # the parser is cached, so it must not hold the cmd_* it was built with
+        assert run(capsys, "sweep", "--steps", "2")[0] == 0
+        seen = []
+        monkeypatch.setattr(cli, "cmd_sweep", lambda args: seen.append(args.command) or 0)
+        assert run(capsys, "sweep", "--steps", "2") == (0, "", "")
+        assert seen == ["sweep"]
 
 
 class TestThresholds:
@@ -342,6 +350,51 @@ class TestSweep:
             code, peak_kb[steps] = (int(x) for x in proc.stdout.split())
             assert code == 0
         assert peak_kb[100000] - peak_kb[1000] < 4 * 1024, peak_kb
+
+
+class TestSweepBlocks:
+    # longer than two default blocks, and not a multiple of any block below
+    ARGV = (
+        "--inequality", "i28", "--visibility", "0.98", "--shots", "300", "--seed", "5",
+        "--steps", "130", "--correct", *READOUT_ARGS,
+    )
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_block_size_does_not_change_bytes(self, capsys, monkeypatch, fmt):
+        calls = []
+        run_experiments = expsim.run_experiments
+
+        def counting(state, configs, *args, **kwargs):
+            calls.append(len(configs))
+            return run_experiments(state, configs, *args, **kwargs)
+
+        monkeypatch.setattr(expsim, "run_experiments", counting)
+        outputs = set()
+        for block in (1, 7, 64):
+            monkeypatch.setattr(cli, "_SWEEP_BLOCK", block)
+            calls.clear()
+            code, out, err = run(capsys, "sweep", *self.ARGV, "--format", fmt)
+            assert code == 0, err
+            assert calls == [block] * (130 // block) + [130 % block] * (130 % block > 0)
+            outputs.add(out)
+        assert len(outputs) == 1
+
+    def test_rows_equal_single_steps(self, capsys):
+        rows = sweep_rows(capsys, *self.ARGV)
+        assert len(rows) == 130
+        state = werner(0.98, "phi_minus")
+        readout = ReadoutModel.from_fidelities(0.97, 0.95, 0.96, 1.0)
+        for k, row in enumerate(rows):
+            config = adapt_to_state(state.tensor, canonical_i28(math.radians(float(row["phi_deg"]))))
+            result = run_experiment(
+                state, config, 300, seed=5, readout=readout, correct=True, step=k
+            )
+            assert float(row["I_raw"]) == result.raw.value
+            assert float(row["sigma_raw"]) == result.sigma_raw
+            assert float(row["I_corrected"]) == result.corrected.value
+            assert float(row["sigma_corrected"]) == result.sigma_corrected
+            assert float(row["sigmas_violation_raw"]) == result.sigmas_violation_raw
+            assert float(row["sigmas_violation_corrected"]) == result.sigmas_violation_corrected
 
 
 class TestVerify:

@@ -13,6 +13,7 @@ from leggettsim.expsim import (
     correct_readout,
     estimate_correlation,
     run_experiment,
+    run_experiments,
 )
 from leggettsim.geometry import SettingsConfig, adapt_to_state, canonical_i26, make_pair
 from leggettsim.inequalities import I26, I28, evaluate, quantum_value, sigma_violation
@@ -451,17 +452,19 @@ class TestStackedMatchesReference:
         assert total_clips > 0
 
     def test_stacked_rows_equal_single_calls(self):
+        # 512 rows is one sweep block of i28 settings: BLAS could round a
+        # stack that large differently from a single row
         rng = np.random.default_rng(77)
-        for _ in range(20):
+        for size in [8] * 20 + [512]:
             state, readout = random_state(rng), random_readout(rng)
-            n = np.array([random_unit(rng) for _ in range(8)])
-            m = np.array([random_unit(rng) for _ in range(8)])
+            n = np.array([random_unit(rng) for _ in range(size)])
+            m = np.array([random_unit(rng) for _ in range(size)])
             probs = joint_probabilities(state, n, m)
             reported = apply_confusion(readout, probs)
             counts = np.array([rng.multinomial(30, p / p.sum()) for p in reported])
             corrected, clipped = correct_readout(readout, counts / 30)
             c_hat, sigma = estimate_correlation(counts)
-            for i in range(8):
+            for i in range(size):
                 row = joint_probabilities(state, n[i], m[i])
                 assert row.tobytes() == probs[i].tobytes()
                 assert row.tobytes() == reference_joint_probabilities(state, n[i], m[i]).tobytes()
@@ -477,6 +480,57 @@ class TestStackedMatchesReference:
                 assert single == (float(c_hat[i]), float(sigma[i]))
                 assert single == reference_estimate_correlation(counts[i])
                 assert type(single[0]) is float and type(single[1]) is float
+
+    def test_blocks_equal_reference_per_step(self):
+        rng = np.random.default_rng(2026)
+        total_clips = 0
+        uneven_clips = False
+        for trial in range(16):
+            state, readout = random_state(rng), random_readout(rng)
+            kinds = rng.integers(0, 2, size=int(rng.integers(1, 9)))
+            configs = [random_config(rng, (I26, I28)[int(k)]) for k in kinds]
+            # few shots, so that correction clips
+            shots = int(rng.integers(1, 60))
+            seed = int(rng.integers(0, 2**32))
+            first_step = int(rng.integers(0, 2**32 - len(configs) + 1))
+            for correct in (False, True):
+                got = run_experiments(
+                    state, configs, shots, seed, readout, correct, first_step
+                )
+                assert len(got) == len(configs)
+                for j, (config, result) in enumerate(zip(configs, got)):
+                    ref = reference_experiment(
+                        state, config, shots, seed, readout, correct, first_step + j
+                    )
+                    for a, b in zip(result.settings, ref.settings):
+                        assert np.array_equal(a.counts, b.counts)
+                    assert result.to_json_dict() == ref.to_json_dict()
+                    # each result counts its own settings' clips only
+                    assert result.clip_events == ref.clip_events
+                    assert type(result.clip_events) is int
+                    total_clips += result.clip_events
+                uneven_clips |= len({result.clip_events for result in got}) > 1
+        assert total_clips > 0 and uneven_clips
+
+    def test_block_of_one_is_run_experiment(self):
+        state = werner(0.9)
+        config = adapted_config(state)
+        readout = ReadoutModel.from_fidelities(0.97, 0.95, 0.96, 0.94)
+        (block,) = run_experiments(state, [config], 500, 3, readout, True, first_step=9)
+        single = run_experiment(state, config, 500, 3, readout, True, step=9)
+        assert block.to_json_dict() == single.to_json_dict()
+
+    def test_empty_block(self):
+        with pytest.raises(ValueError, match="at least one configuration"):
+            run_experiments(werner(0.5), [], 10, seed=0)
+
+    @pytest.mark.parametrize("size", [1, 3])
+    def test_last_step_in_range(self, size):
+        state = werner(0.5)
+        configs = [adapted_config(state)] * size
+        assert len(run_experiments(state, configs, 10, 0, first_step=2**32 - size)) == size
+        with pytest.raises(ValueError, match="step must lie in"):
+            run_experiments(state, configs, 10, 0, first_step=2**32 - size + 1)
 
     def test_single_call_shapes(self):
         state, readout = random_state(np.random.default_rng(3)), ReadoutModel.identity()

@@ -303,6 +303,38 @@ class TestSerialization:
             assert np.allclose(a.m_prime, b.m_prime, atol=1e-12)
         assert rebuilt.pairing == config.pairing
 
+    @pytest.mark.parametrize("key", ["u", "e_hat"])
+    def test_pair_missing_field(self, key):
+        data = canonical_i26(0.5).to_json_dict()
+        del data["pairs"][1][key]
+        with pytest.raises(ValueError, match=rf"pairs\[1\]: missing {key}$"):
+            SettingsConfig.from_json_dict(data)
+
+    def test_pairs_not_a_list(self):
+        data = canonical_i26(0.5).to_json_dict()
+        data["pairs"] = "x"
+        with pytest.raises(ValueError, match="pairs: expected a list, got 'x'"):
+            SettingsConfig.from_json_dict(data)
+
+    def test_phi_not_a_number(self):
+        data = canonical_i26(0.5).to_json_dict()
+        data["phi_deg"] = "30"
+        with pytest.raises(ValueError, match="phi_deg: expected a number, got '30'"):
+            SettingsConfig.from_json_dict(data)
+
+    def test_alice_not_unit(self):
+        # the scan would take u.n = 3 as a marginal and report a meaningless value
+        data = canonical_i26(0.5).to_json_dict()
+        data["alice"][0] = [0.0, 0.0, 3.0]
+        with pytest.raises(ValueError, match=r"alice\[0\]: n must be a unit vector"):
+            SettingsConfig.from_json_dict(data)
+
+    def test_pairing_reported_as_in_the_file(self):
+        data = canonical_i26(0.5).to_json_dict()
+        data["pairing"] = [0, 1, 2]
+        with pytest.raises(ValueError, match=r"pairing \[0, 1, 2\]: expected int indices in 1\.\.2"):
+            SettingsConfig.from_json_dict(data)
+
     def test_unknown_kind(self):
         data = canonical_i26(0.5).to_json_dict()
         data["kind"] = "i99"
