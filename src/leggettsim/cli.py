@@ -19,7 +19,7 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import TYPE_CHECKING
 
 from . import inequalities
@@ -283,21 +283,25 @@ def _sweep_phi_deg(config: RunConfig, i: int) -> float:
 def _experiment(config: RunConfig):
     """Return run(phis, first_step), the configured sampled experiments.
 
-    The Werner state, its correlation tensor and the readout model are built
-    once; each call adapts the canonical settings at each phi (radians) to
-    the state and runs them as one block, experiment j with the streams of
-    sweep step ``first_step + j``.  ``simulate`` is a block of one at step 0.
+    The Werner state, its correlation tensor, the readout model and the
+    Alice vectors adapted to the state are built once; each call runs the
+    canonical settings at each phi (radians), with those Alice vectors, as
+    one block, experiment j with the streams of sweep step
+    ``first_step + j``.  ``simulate`` is a block of one at step 0.
     """
     from . import expsim, geometry, qstate
 
     canonical = geometry.CANONICAL[config.inequality]
     state = qstate.werner(config.visibility, config.bell)
     readout = config.readout_model()
+    # the canonical bisectors do not depend on phi, so neither does the
+    # adaptation: these are the bits adapt_to_state gives at every phi
+    alice = geometry.adapt_to_state(state.tensor, canonical(0.0)).alice
 
     def run(phis, first_step: int) -> list[expsim.ExperimentResult]:
         return expsim.run_experiments(
             state,
-            [geometry.adapt_to_state(state.tensor, canonical(phi)) for phi in phis],
+            [replace(canonical(phi), alice=alice) for phi in phis],
             shots_per_setting=config.shots,
             seed=config.seed,
             readout=readout,

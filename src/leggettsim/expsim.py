@@ -13,8 +13,14 @@ settings n and m as (S, 3), probabilities and counts as (S, 4), one row
 per setting in block order.  ``joint_probabilities``, ``apply_confusion``,
 ``correct_readout`` and ``estimate_correlation`` each take either one row
 or the whole stack, and row i of a stacked call has the bits of the call on
-row i alone.  Only the draws loop over settings: each setting still gets
-its own generator from the rule above and one ``multinomial`` call.
+row i alone.  Seeding is one pass too: ``_seed_words`` computes
+SeedSequence's hash for every [seed, setting_index, step] row of the block
+as uint32 arrays, and ``_pcg64_state`` turns each row's words into the
+state that ``PCG64(SeedSequence(...))`` would start from.  Only the draws
+loop over settings: one PCG64 and Generator per block are set to each
+setting's state in turn for one ``multinomial`` call, so the counts are
+those of a fresh generator per setting.  The tests check the hash and the
+states against ``np.random.SeedSequence`` and ``PCG64`` themselves.
 
 Readout confusion is applied to the outcome probabilities before
 sampling; this is equivalent in distribution to flipping sampled
@@ -35,6 +41,21 @@ from .inequalities import InequalityValue, evaluate, sigma_violation
 from .qstate import TwoQubitState, joint_probabilities
 
 MAX_CONDITION_NUMBER = 1e6
+
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx), for
+# a pool of four 32-bit words
+INIT_A = 0x43B0D7E5
+MULT_A = 0x931E8875
+INIT_B = 0x8B51F9DD
+MULT_B = 0x58F38DED
+MIX_MULT_L = 0xCA01F9DD
+MIX_MULT_R = 0x4973F715
+XSHIFT = 16
+_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
+# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
 
 
 class ConditioningError(ValueError):
@@ -139,6 +160,62 @@ def correct_readout(model: ReadoutModel, p_measured):
     if p.ndim == 1:
         clipped = bool(clipped)
     return p / total, clipped
+
+
+def _seed_words(entropy) -> np.ndarray:
+    """``SeedSequence(row).generate_state(4, np.uint64)`` for each row, as (K, 4).
+
+    ``entropy`` holds K rows of [seed, setting_index, step], each word in
+    [0, 2**32), so SeedSequence takes each row as its three entropy words.
+    The hash constant evolves the same way for every row, so it is a Python
+    int and only the pool is an array, one uint32 column per pool word;
+    uint32 arithmetic wraps as numpy's C code does.
+    """
+    entropy = np.asarray(entropy, dtype=np.uint32)
+    shift = np.uint32(XSHIFT)
+    hash_const = INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * MULT_A & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> shift)
+
+    def mix(x, y):
+        result = np.uint32(MIX_MULT_L) * x - np.uint32(MIX_MULT_R) * y
+        return result ^ (result >> shift)
+
+    # the pool outgrows the three entropy words: the fourth hashes a zero
+    words = list(entropy.T) + [np.zeros(len(entropy), dtype=np.uint32)]
+    pool = [hashmix(word) for word in words]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    # four 64-bit words are eight 32-bit ones, the pool read twice over
+    hash_const = INIT_B
+    state = np.empty((len(entropy), 8), dtype=np.uint32)
+    for i in range(8):
+        value = pool[i % _POOL_SIZE] ^ np.uint32(hash_const)
+        hash_const = hash_const * MULT_B & _MASK32
+        value = value * np.uint32(hash_const)
+        state[:, i] = value ^ (value >> shift)
+    # pairs of 32-bit words read as little-endian 64-bit words, as numpy does
+    return state.astype("<u4").view("<u8")
+
+
+def _pcg64_state(words) -> tuple[int, int]:
+    """(state, inc) of ``PCG64`` seeded with the four 64-bit ``words``.
+
+    This is pcg_setseq_128_srandom_r with initstate = words[0:2] and
+    initseq = words[2:4], high word first: inc = 2 initseq + 1, then from
+    state 0 one step, add initstate, one more step, all mod 2**128.
+    """
+    initstate = words[0] << 64 | words[1]
+    inc = ((words[2] << 64 | words[3]) << 1 | 1) & _MASK128
+    state = (inc + initstate) & _MASK128
+    return (state * _PCG64_MULT + inc) & _MASK128, inc
 
 
 def _sigma(c, shots):
@@ -255,10 +332,14 @@ def run_experiments(
     Experiment j runs ``configs[j]`` with the streams of step
     ``first_step + j``: each of its settings draws its outcome counts,
     ordered (++, +-, -+, --), from SeedSequence([seed, setting_index,
-    step]).  ``seed`` and every step must lie in [0, 2**32).  The settings
-    of all experiments are stacked in block order for one pass each of
+    step]).  ``seed`` and ``first_step`` must be ints (not bools), and
+    ``seed`` and every step must lie in [0, 2**32).  The settings of all
+    experiments are stacked in block order for one pass each of seeding,
     probabilities, confusion, estimation and correction; the confusion
-    model is folded into the sampling distribution.  Each result's records
+    model is folded into the sampling distribution.  The seeding pass
+    hashes every setting's [seed, setting_index, step] words at once, and
+    one generator, set to each resulting PCG64 state in turn, draws the
+    counts a fresh generator per setting would.  Each result's records
     hold rows of one read-only count array shared by the block, and its
     ``clip_events`` counts its own settings only.  The inequality of an
     experiment is its ``config.kind``; ``evaluate`` rejects a wrong pair
@@ -268,6 +349,10 @@ def run_experiments(
         raise ValueError(f"shots must be >= 1, got {shots_per_setting}")
     if not configs:
         raise ValueError("need at least one configuration")
+    for name, value in (("seed", seed), ("step", first_step)):
+        # bool is an int, and a float or string would reach the uint32 words
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an int, got {value!r}")
     last_step = first_step + len(configs) - 1
     for name, value in (("seed", seed), ("step", first_step), ("step", last_step)):
         if not 0 <= value < 2**32:
@@ -280,15 +365,24 @@ def run_experiments(
     m = np.array([setting[3] for setting in settings])
     p_phys = apply_confusion(readout, joint_probabilities(state, n, m))
     p_phys /= p_phys.sum(axis=1, keepdims=True)
+    entropy = [
+        (seed, setting_id, step)
+        for step, block in enumerate(blocks, first_step)
+        for setting_id, _, _, _ in block
+    ]
+    # its seed is never drawn from: each setting sets its own state first
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
     counts = np.empty(p_phys.shape, dtype=np.int64)
-    row = 0
-    for step, block in enumerate(blocks, first_step):
-        for setting_id, _, _, _ in block:
-            rng = np.random.Generator(
-                np.random.PCG64(np.random.SeedSequence([seed, setting_id, step]))
-            )
-            counts[row] = rng.multinomial(shots_per_setting, p_phys[row])
-            row += 1
+    for row, words in enumerate(_seed_words(entropy).tolist()):
+        state, inc = _pcg64_state(words)
+        bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        counts[row] = rng.multinomial(shots_per_setting, p_phys[row])
     # the records' count rows are views of this array
     counts.setflags(write=False)
     c_raw, sigma_raw = (column.tolist() for column in estimate_correlation(counts))

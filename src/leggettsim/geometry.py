@@ -43,10 +43,11 @@ class SettingPair:
 class SettingsConfig:
     """Alice vectors, Bob setting pairs and the pair -> Alice assignment.
 
-    ``pairing[i]`` is the 0-based index of the Alice vector used with pair i.
-    ``kind`` is the inequality the configuration tests; its JSON form is the
-    tag.  The pair count is not tied to ``kind.num_pairs``: ``evaluate``
-    checks that where the inequality is evaluated.
+    ``alice`` holds unit 3-vectors, kept as float arrays.  ``pairing[i]`` is
+    the 0-based index of the Alice vector used with pair i.  ``kind`` is the
+    inequality the configuration tests; its JSON form is the tag.  The pair
+    count is not tied to ``kind.num_pairs``: ``evaluate`` checks that where
+    the inequality is evaluated.
     """
 
     alice: tuple
@@ -57,6 +58,14 @@ class SettingsConfig:
     def __post_init__(self):
         if not isinstance(self.kind, InequalityKind):
             raise ValueError(f"unknown inequality kind {self.kind!r}")
+        alice = []
+        for i, n in enumerate(self.alice):
+            # numpy raises TypeError on values it cannot convert, such as objects
+            try:
+                alice.append(_check_unit(n, "n"))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"alice[{i}]: {exc}") from exc
+        object.__setattr__(self, "alice", tuple(alice))
         if not self.pairs:
             raise ValueError("a configuration needs at least one setting pair")
         if len(self.pairing) != len(self.pairs):
@@ -132,12 +141,7 @@ class SettingsConfig:
                 pairs.append(make_pair(p["u"], p["e_hat"], phi))
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"{where}: {exc}") from exc
-        alice = []
-        for i, n in enumerate(data["alice"]):
-            try:
-                alice.append(_check_unit(n, "n"))
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"settings config: alice[{i}]: {exc}") from exc
+        alice = data["alice"]
         pairing = data["pairing"]
         # 1-based here; True and 1.0 are not indices
         if not all(type(i) is int and 1 <= i <= len(alice) for i in pairing):
@@ -145,12 +149,16 @@ class SettingsConfig:
                 f"settings config: pairing {pairing}: expected int indices in 1..{len(alice)}"
             )
         kind = data["kind"]
-        return cls(
-            alice=tuple(alice),
-            pairs=tuple(pairs),
-            pairing=tuple(i - 1 for i in pairing),
-            kind=KINDS.get(kind, kind) if isinstance(kind, str) else kind,
-        )
+        # the constructor checks the Alice vectors, naming a bad one, and the kind
+        try:
+            return cls(
+                alice=tuple(alice),
+                pairs=tuple(pairs),
+                pairing=tuple(i - 1 for i in pairing),
+                kind=KINDS.get(kind, kind) if isinstance(kind, str) else kind,
+            )
+        except ValueError as exc:
+            raise ValueError(f"settings config: {exc}") from exc
 
 
 def make_pair(u, e_hat, phi: float) -> SettingPair:

@@ -9,6 +9,8 @@ from leggettsim.expsim import (
     ExperimentResult,
     ReadoutModel,
     SettingRecord,
+    _pcg64_state,
+    _seed_words,
     apply_confusion,
     correct_readout,
     estimate_correlation,
@@ -188,6 +190,88 @@ class TestSampling:
     def test_step_range(self, step):
         with pytest.raises(ValueError, match="step must lie in"):
             sampled_counts(werner(0.5), 10, seed=0, step=step)
+
+    @pytest.mark.parametrize("name", ["seed", "step"])
+    @pytest.mark.parametrize("value", [3.7, 3.0, np.float64(3.0), True, False, "3"])
+    def test_words_must_be_ints(self, name, value):
+        # a float would be truncated to a uint32 word, and True would seed as 1
+        kwargs = {"seed": 0, name: value}
+        with pytest.raises(ValueError, match=rf"^{name} must be an int, got "):
+            sampled_counts(werner(0.5), 10, **kwargs)
+
+    @pytest.mark.parametrize("word", [np.int64, np.uint32, np.uint64])
+    def test_numpy_integers_accepted(self, word):
+        state = werner(0.8)
+        assert np.array_equal(
+            sampled_counts(state, 100, seed=word(2**32 - 1), step=word(5)),
+            sampled_counts(state, 100, seed=2**32 - 1, step=5),
+        )
+
+
+# every [seed, setting_index, step] corner of the word range
+CORNERS = [(a, b, c) for a in (0, 2**32 - 1) for b in (0, 2**32 - 1) for c in (0, 2**32 - 1)]
+
+
+def random_triples(rng, size):
+    triples = rng.integers(0, 2**32, size=(size, 3), dtype=np.uint64).tolist()
+    return CORNERS + triples
+
+
+class TestSeeding:
+    """The one-pass seeder against numpy's own SeedSequence and PCG64."""
+
+    def test_words_equal_seed_sequence(self):
+        triples = random_triples(np.random.default_rng(13), 10**4)
+        got = _seed_words(triples)
+        assert got.shape == (len(triples), 4) and got.dtype == np.uint64
+        for triple, words in zip(triples, got):
+            expected = np.random.SeedSequence(triple).generate_state(4, np.uint64)
+            assert np.array_equal(words, expected), triple
+
+    def test_block_of_one(self):
+        for triple in CORNERS:
+            expected = np.random.SeedSequence(triple).generate_state(4, np.uint64)
+            assert np.array_equal(_seed_words([triple])[0], expected)
+
+    def test_states_equal_pcg64(self):
+        triples = random_triples(np.random.default_rng(14), 2000)
+        for triple, words in zip(triples, _seed_words(triples).tolist()):
+            state = np.random.PCG64(np.random.SeedSequence(triple)).state
+            assert _pcg64_state(words) == (state["state"]["state"], state["state"]["inc"])
+
+    @pytest.mark.parametrize("shots", [1, 59, 10**5])
+    def test_counts_equal_fresh_generators(self, shots):
+        # one generator set to each row's state in turn, as run_experiments
+        # does, against a fresh generator per row
+        rng = np.random.default_rng(shots)
+        triples = random_triples(rng, 200)
+        bit_generator = np.random.PCG64(0)
+        generator = np.random.Generator(bit_generator)
+        for triple, words in zip(triples, _seed_words(triples).tolist()):
+            p = rng.dirichlet(np.ones(4))
+            state, inc = _pcg64_state(words)
+            bit_generator.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            fresh = np.random.Generator(np.random.PCG64(np.random.SeedSequence(triple)))
+            assert np.array_equal(generator.multinomial(shots, p), fresh.multinomial(shots, p))
+
+    @pytest.mark.parametrize("shots", [1, 59, 10**5])
+    def test_block_counts_equal_reference(self, shots):
+        rng = np.random.default_rng(100 + shots)
+        state, readout = random_state(rng), random_readout(rng)
+        configs = [random_config(rng, (I26, I28)[j % 2]) for j in range(5)]
+        for seed, first_step in [(0, 0), (2**32 - 1, 2**32 - 5), (12345, 678)]:
+            got = run_experiments(state, configs, shots, seed, readout, first_step=first_step)
+            for j, (config, result) in enumerate(zip(configs, got)):
+                ref = reference_experiment(
+                    state, config, shots, seed, readout, False, first_step + j
+                )
+                for a, b in zip(result.settings, ref.settings):
+                    assert np.array_equal(a.counts, b.counts)
 
 
 class TestEstimateCorrelation:

@@ -285,6 +285,27 @@ class TestSettingsConfigValidation:
         with pytest.raises(ValueError, match="unknown inequality kind 'i26'"):
             dataclasses.replace(canonical_i26(0.5), kind="i26")
 
+    @pytest.mark.parametrize(
+        "alice, index, message",
+        [
+            # the scan would take u.n = 3 as a marginal and report a meaningless value
+            ((3 * Z, X), 0, "n must be a unit vector"),
+            ((Z, [0.0, 0.6, 0.6]), 1, "n must be a unit vector"),
+            ((Z, [0.0, 0.0, float("nan")]), 1, "n must be a unit vector"),
+            ((Z, [1.0, 0.0]), 1, "n must be a 3-vector"),
+            (({"x": 1}, X), 0, ""),
+        ],
+    )
+    def test_alice_not_unit(self, alice, index, message):
+        with pytest.raises(ValueError, match=rf"^alice\[{index}\]: {message}"):
+            dataclasses.replace(canonical_i26(0.5), alice=alice)
+
+    def test_alice_kept_as_float_arrays(self):
+        config = dataclasses.replace(canonical_i26(0.5), alice=([0, 0, 1], (1, 0, 0)))
+        for n, expected in zip(config.alice, (Z, X)):
+            assert isinstance(n, np.ndarray) and n.dtype == float
+            assert n.tobytes() == expected.tobytes()
+
 
 class TestSerialization:
     def test_missing_keys_named(self):
