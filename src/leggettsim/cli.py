@@ -19,7 +19,7 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
 from . import inequalities
@@ -284,24 +284,23 @@ def _experiment(config: RunConfig):
     """Return run(phis, first_step), the configured sampled experiments.
 
     The Werner state, its correlation tensor, the readout model and the
-    Alice vectors adapted to the state are built once; each call runs the
-    canonical settings at each phi (radians), with those Alice vectors, as
+    canonical configuration adapted to the state are built and checked
+    once; each call runs that configuration ``at`` each phi (radians) as
     one block, experiment j with the streams of sweep step
     ``first_step + j``.  ``simulate`` is a block of one at step 0.
     """
     from . import expsim, geometry, qstate
 
-    canonical = geometry.CANONICAL[config.inequality]
     state = qstate.werner(config.visibility, config.bell)
     readout = config.readout_model()
     # the canonical bisectors do not depend on phi, so neither does the
     # adaptation: these are the bits adapt_to_state gives at every phi
-    alice = geometry.adapt_to_state(state.tensor, canonical(0.0)).alice
+    template = geometry.adapt_to_state(state.tensor, geometry.CANONICAL[config.inequality](0.0))
 
     def run(phis, first_step: int) -> list[expsim.ExperimentResult]:
         return expsim.run_experiments(
             state,
-            [replace(canonical(phi), alice=alice) for phi in phis],
+            [template.at(phi) for phi in phis],
             shots_per_setting=config.shots,
             seed=config.seed,
             readout=readout,

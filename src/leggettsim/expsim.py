@@ -32,13 +32,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .geometry import SettingsConfig
 from .inequalities import InequalityValue, evaluate, sigma_violation
-from .qstate import TwoQubitState, joint_probabilities
+from .qstate import TwoQubitState, _frozen, joint_probabilities
 
 MAX_CONDITION_NUMBER = 1e6
 
@@ -70,8 +70,7 @@ def _check_confusion_2x2(r: np.ndarray, name: str) -> np.ndarray:
         raise ValueError(f"{name} entries must lie in [0, 1]")
     if not np.max(np.abs(r.sum(axis=0) - 1.0)) <= 1e-12:
         raise ValueError(f"{name} columns must sum to 1")
-    r.setflags(write=False)
-    return r
+    return _frozen(r)
 
 
 @dataclass(frozen=True)
@@ -88,11 +87,9 @@ class ReadoutModel:
     def __post_init__(self):
         r_a = _check_confusion_2x2(self.r_a, "r_a")
         r_b = _check_confusion_2x2(self.r_b, "r_b")
-        joint = np.kron(r_a, r_b)
-        joint.setflags(write=False)
         object.__setattr__(self, "r_a", r_a)
         object.__setattr__(self, "r_b", r_b)
-        object.__setattr__(self, "_joint", joint)
+        object.__setattr__(self, "_joint", _frozen(np.kron(r_a, r_b)))
 
     @classmethod
     def from_fidelities(cls, f0_a: float, f1_a: float, f0_b: float, f1_b: float):
@@ -240,8 +237,13 @@ def estimate_correlation(counts):
     return c_hat, sigma
 
 
-@dataclass(frozen=True)
-class SettingRecord:
+class SettingRecord(NamedTuple):
+    """One setting's draws and estimates; a plain tuple, built positionally.
+
+    ``n`` and ``m`` are the configuration's read-only vectors, and
+    ``counts`` is a row of the block's read-only count array.
+    """
+
     setting_id: int
     alice_index: int
     n: np.ndarray
@@ -401,15 +403,15 @@ def run_experiments(
         start = rows.stop
         records = [
             SettingRecord(
-                setting_id=setting_id,
-                alice_index=alice_idx,
-                n=n_i,
-                m=m_i,
-                counts=counts[row],
-                c_raw=c_raw[row],
-                sigma_raw=sigma_raw[row],
-                c_corrected=c_corr[row],
-                sigma_corrected=sigma_corr[row],
+                setting_id,
+                alice_idx,
+                n_i,
+                m_i,
+                counts[row],
+                c_raw[row],
+                sigma_raw[row],
+                c_corr[row],
+                sigma_corr[row],
             )
             for row, (setting_id, alice_idx, n_i, m_i) in enumerate(block, rows.start)
         ]

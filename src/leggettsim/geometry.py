@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .inequalities import I26, I28, KINDS, InequalityKind
-from .qstate import CorrelationTensor, _check_unit
+from .qstate import CorrelationTensor, _check_unit, _frozen
 
 ORTHO_TOL = 1e-9
 DEGENERATE_TOL = 1e-9
@@ -30,7 +30,11 @@ class DegenerateTensorError(ValueError):
 
 @dataclass(frozen=True)
 class SettingPair:
-    """Bob setting pair m = cos(phi/2) u + sin(phi/2) e_hat, m' its mirror."""
+    """Bob setting pair m = cos(phi/2) u + sin(phi/2) e_hat, m' its mirror.
+
+    Built by ``make_pair`` and ``SettingsConfig.at``, whose vectors are
+    read-only float copies, so no write reaches a shared array.
+    """
 
     m: np.ndarray
     m_prime: np.ndarray
@@ -43,7 +47,8 @@ class SettingPair:
 class SettingsConfig:
     """Alice vectors, Bob setting pairs and the pair -> Alice assignment.
 
-    ``alice`` holds unit 3-vectors, kept as float arrays.  ``pairing[i]`` is
+    ``alice`` holds unit 3-vectors, kept as read-only float copies.  ``at``
+    gives the same configuration at another phi.  ``pairing[i]`` is
     the 0-based index of the Alice vector used with pair i.  ``kind`` is the
     inequality the configuration tests; its JSON form is the tag.  The pair
     count is not tied to ``kind.num_pairs``: ``evaluate`` checks that where
@@ -62,7 +67,7 @@ class SettingsConfig:
         for i, n in enumerate(self.alice):
             # numpy raises TypeError on values it cannot convert, such as objects
             try:
-                alice.append(_check_unit(n, "n"))
+                alice.append(_frozen_unit(n, "n"))
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"alice[{i}]: {exc}") from exc
         object.__setattr__(self, "alice", tuple(alice))
@@ -81,6 +86,21 @@ class SettingsConfig:
     @property
     def phi(self) -> float:
         return self.pairs[0].phi
+
+    def at(self, phi: float) -> "SettingsConfig":
+        """This configuration with every pair at phi instead; phi in [0, pi].
+
+        Only phi is checked: the rest was checked when this configuration
+        was built, and its vectors are read-only, so they still hold.
+        """
+        _check_phi(phi)
+        pairs = tuple(
+            SettingPair(*_mirror(p.u, p.e_hat, phi), p.u, p.e_hat, phi) for p in self.pairs
+        )
+        config = object.__new__(SettingsConfig)
+        # a frozen instance: fill its fields directly, without __post_init__
+        config.__dict__.update(self.__dict__, pairs=pairs)
+        return config
 
     def settings(self):
         """Flat list of (setting_index, alice_index, n, m) over all settings."""
@@ -163,20 +183,29 @@ class SettingsConfig:
 
 def make_pair(u, e_hat, phi: float) -> SettingPair:
     """Build the setting pair with bisector u, difference direction e_hat."""
-    u = _check_unit(u, "u")
-    e_hat = _check_unit(e_hat, "e_hat")
+    u = _frozen_unit(u, "u")
+    e_hat = _frozen_unit(e_hat, "e_hat")
     if not abs(float(u @ e_hat)) <= ORTHO_TOL:
         raise ValueError(f"u and e_hat must be orthogonal, dot = {float(u @ e_hat)}")
+    _check_phi(phi)
+    return SettingPair(*_mirror(u, e_hat, phi), u, e_hat, phi)
+
+
+def _check_phi(phi: float):
+    # "not within range" rather than "outside it", so that NaN fails
     if not 0.0 <= phi <= math.pi:
         raise ValueError(f"phi must lie in [0, pi], got {phi}")
-    c, s = math.cos(phi / 2.0), math.sin(phi / 2.0)
-    return SettingPair(
-        m=c * u + s * e_hat,
-        m_prime=c * u - s * e_hat,
-        u=u,
-        e_hat=e_hat,
-        phi=phi,
-    )
+
+
+def _mirror(u: np.ndarray, e_hat: np.ndarray, phi: float):
+    """(m, m') = cos(phi/2) u +- sin(phi/2) e_hat, both read-only."""
+    cu, se = math.cos(phi / 2.0) * u, math.sin(phi / 2.0) * e_hat
+    return _frozen(cu + se), _frozen(cu - se)
+
+
+def _frozen_unit(vec, name: str) -> np.ndarray:
+    """A read-only float copy of ``vec``, checked to be one unit 3-vector."""
+    return _frozen(_check_unit(np.array(vec, dtype=float), name))
 
 
 def canonical_i26(phi: float) -> SettingsConfig:

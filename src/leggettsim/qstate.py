@@ -27,6 +27,21 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULI = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 IDENTITY_2 = np.eye(2, dtype=complex)
 
+
+def _frozen(m: np.ndarray) -> np.ndarray:
+    """``m``, made read-only."""
+    m.setflags(write=False)
+    return m
+
+
+# _KRON[j, k] = np.kron(sigma_j, sigma_k), sigma_0 the identity: every
+# product a tensor needs, each entry one multiply as np.kron makes it, built
+# at import in one pass
+_SIGMA = np.array([IDENTITY_2, *PAULI])
+_KRON = _frozen(
+    (_SIGMA[:, None, :, None, :, None] * _SIGMA[None, :, None, :, None, :]).reshape(4, 4, 4, 4)
+)
+
 _BELL_VECTORS = {
     # amplitudes over |00>, |01>, |10>, |11>
     "phi_minus": np.array([1, 0, 0, -1], dtype=complex) / np.sqrt(2),
@@ -62,8 +77,7 @@ class TwoQubitState:
             raise InvalidStateError("trace differs from 1 by more than 1e-12")
         if not np.linalg.eigvalsh(m).min() >= -PSD_TOL:
             raise InvalidStateError("matrix has an eigenvalue below -1e-10")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", _frozen(m))
 
     @cached_property
     def tensor(self) -> CorrelationTensor:
@@ -81,9 +95,7 @@ class CorrelationTensor:
 
     def __post_init__(self):
         for name in ("t", "a", "b"):
-            v = np.array(getattr(self, name), dtype=float)
-            v.setflags(write=False)
-            object.__setattr__(self, name, v)
+            object.__setattr__(self, name, _frozen(np.array(getattr(self, name), dtype=float)))
 
 
 def bell_state(kind: str) -> TwoQubitState:
@@ -109,17 +121,18 @@ def werner(visibility: float, base: str = "phi_minus") -> TwoQubitState:
 def correlation_tensor(state: TwoQubitState) -> CorrelationTensor:
     """T_jk = Tr[rho (sigma_j x sigma_k)] plus the marginal Bloch vectors.
 
-    Always builds; ``state.tensor`` keeps one build per state.
+    Always builds; ``state.tensor`` keeps one build per state.  The 15
+    Kronecker products come from ``_KRON``, built once at import.
     """
     rho = state.matrix
     t = np.empty((3, 3))
     a = np.empty(3)
     b = np.empty(3)
-    for j, sj in enumerate(PAULI):
-        a[j] = _real_trace(rho @ np.kron(sj, IDENTITY_2))
-        b[j] = _real_trace(rho @ np.kron(IDENTITY_2, sj))
-        for k, sk in enumerate(PAULI):
-            t[j, k] = _real_trace(rho @ np.kron(sj, sk))
+    for j in range(3):
+        a[j] = _real_trace(rho @ _KRON[j + 1, 0])
+        b[j] = _real_trace(rho @ _KRON[0, j + 1])
+        for k in range(3):
+            t[j, k] = _real_trace(rho @ _KRON[j + 1, k + 1])
     return CorrelationTensor(t=t, a=a, b=b)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -542,3 +543,32 @@ class TestSimulate:
         )
         assert code == 2
         assert err.startswith("error:")
+
+
+class TestExperimentConfigs:
+    @pytest.mark.parametrize("tag", ["i26", "i28"])
+    @pytest.mark.parametrize("bell, visibility", [("phi_minus", 0.98), ("psi_minus", 0.6)])
+    def test_equal_replaced_canonical(self, monkeypatch, tag, bell, visibility):
+        seen = []
+
+        def capture(state, configs, **kwargs):
+            seen.extend(configs)
+
+        monkeypatch.setattr(expsim, "run_experiments", capture)
+        config = cli.RunConfig(inequality=tag, bell=bell, visibility=visibility, shots=10)
+        phis = [math.radians(deg) for deg in (0.0, 12.5, 36.87, 90.0, 180.0)]
+        cli._experiment(config)(phis, 0)
+        # the reference: the canonical configuration rebuilt at each phi, with
+        # the Alice vectors adapted once
+        canonical = {"i26": canonical_i26, "i28": canonical_i28}[tag]
+        state = werner(visibility, bell)
+        alice = adapt_to_state(correlation_tensor(state), canonical(0.0)).alice
+        assert len(seen) == len(phis)
+        for phi, got in zip(phis, seen):
+            expected = dataclasses.replace(canonical(phi), alice=alice)
+            assert got.kind is expected.kind and got.pairing == expected.pairing
+            assert got.phi == expected.phi == phi
+            assert [n.tobytes() for n in got.alice] == [n.tobytes() for n in expected.alice]
+            for p, q in zip(got.pairs, expected.pairs, strict=True):
+                for name in ("m", "m_prime", "u", "e_hat"):
+                    assert getattr(p, name).tobytes() == getattr(q, name).tobytes()

@@ -631,3 +631,17 @@ class TestStackedMatchesReference:
             assert not rec.counts.flags.writeable
             with pytest.raises(ValueError):
                 rec.counts[0] += 1
+
+    def test_records_are_plain_tuples(self):
+        state = werner(0.9)
+        config = adapted_config(state)
+        result = run_experiment(state, config, 100, seed=1, correct=True)
+        assert SettingRecord._fields == (
+            "setting_id", "alice_index", "n", "m", "counts",
+            "c_raw", "sigma_raw", "c_corrected", "sigma_corrected",
+        )
+        for rec, (setting_id, alice_idx, n, m) in zip(result.settings, config.settings()):
+            assert isinstance(rec, tuple) and len(rec) == 9
+            assert rec[:2] == (setting_id, alice_idx) and rec[2] is n and rec[3] is m
+            assert not (rec.n.flags.writeable or rec.m.flags.writeable)
+        assert SettingRecord(0, 0, None, None, None, 1.0, 0.1)[7:] == (None, None)

@@ -367,3 +367,116 @@ def test_fibonacci_sphere_on_unit_sphere():
     pts = fibonacci_sphere(500)
     assert np.allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-12)
     assert abs(pts.mean(axis=0)).max() < 0.05
+
+
+def random_config(rng, kind, phi):
+    """A configuration of ``kind`` built with make_pair: random bisectors,
+    directions orthogonal to them, Alice vectors and pairing."""
+    pairs = []
+    for _ in range(kind.num_pairs):
+        u = rng.normal(size=3)
+        u /= np.linalg.norm(u)
+        e_hat = np.cross(u, rng.normal(size=3))
+        pairs.append(make_pair(u, e_hat / np.linalg.norm(e_hat), phi))
+    alice = [n / np.linalg.norm(n) for n in rng.normal(size=(3, 3))]
+    pairing = tuple(int(i) for i in rng.integers(0, len(alice), size=kind.num_pairs))
+    return SettingsConfig(alice=tuple(alice), pairs=tuple(pairs), pairing=pairing, kind=kind)
+
+
+def assert_same_config(x, y):
+    """x and y hold the same vectors bit for bit, the same phi, pairing and kind."""
+    assert type(x) is type(y) is SettingsConfig
+    assert x.kind is y.kind and x.pairing == y.pairing and x.phi == y.phi
+    assert [n.tobytes() for n in x.alice] == [n.tobytes() for n in y.alice]
+    assert len(x.pairs) == len(y.pairs)
+    for p, q in zip(x.pairs, y.pairs):
+        assert p.phi == q.phi
+        for name in ("m", "m_prime", "u", "e_hat"):
+            assert getattr(p, name).dtype == getattr(q, name).dtype == float
+            assert getattr(p, name).tobytes() == getattr(q, name).tobytes()
+
+
+def rebuilt_at(config, phi):
+    """The reference for ``config.at(phi)``: every pair rebuilt by make_pair."""
+    pairs = tuple(make_pair(p.u, p.e_hat, phi) for p in config.pairs)
+    return dataclasses.replace(config, pairs=pairs)
+
+
+class TestAt:
+    @pytest.mark.parametrize("tag", ["i26", "i28"])
+    def test_random_configs_equal_make_pair(self, tag):
+        rng = np.random.default_rng(150)
+        for _ in range(40):
+            config = random_config(rng, KINDS[tag], rng.uniform(0.0, math.pi))
+            for phi in (*rng.uniform(0.0, math.pi, size=5), 0.0, math.pi):
+                assert_same_config(config.at(phi), rebuilt_at(config, phi))
+
+    @pytest.mark.parametrize("build", [canonical_i26, canonical_i28])
+    @given(st.floats(0, math.pi), st.floats(0, math.pi))
+    @settings(max_examples=40)
+    def test_canonical_equals_build_at_phi(self, build, phi0, phi):
+        assert_same_config(build(phi0).at(phi), build(phi))
+
+    def test_adapted_keeps_alice(self):
+        tensor = correlation_tensor(werner(0.9))
+        for build in CANONICAL.values():
+            template = adapt_to_state(tensor, build(0.0))
+            config = template.at(0.7)
+            assert all(n is t for n, t in zip(config.alice, template.alice))
+            assert_same_config(config, dataclasses.replace(build(0.7), alice=template.alice))
+
+    def test_leaves_self_unchanged(self):
+        config = canonical_i28(0.3)
+        before = [p.m.tobytes() for p in config.pairs]
+        moved = config.at(1.2)
+        assert config.phi == 0.3 and moved.phi == 1.2
+        assert [p.m.tobytes() for p in config.pairs] == before
+
+    @pytest.mark.parametrize("phi", [-1e-12, -0.1, math.pi + 1e-12, 4.0, math.nan, math.inf])
+    def test_phi_out_of_range(self, phi):
+        for build in CANONICAL.values():
+            with pytest.raises(ValueError, match=r"phi must lie in \[0, pi\]"):
+                build(0.5).at(phi)
+
+
+def config_arrays(config):
+    yield from config.alice
+    for pair in config.pairs:
+        yield from (pair.m, pair.m_prime, pair.u, pair.e_hat)
+
+
+class TestReadOnly:
+    def configs(self):
+        tensor = correlation_tensor(werner(0.9))
+        for build in CANONICAL.values():
+            config = build(0.5)
+            yield config
+            yield config.at(1.0)
+            yield adapt_to_state(tensor, config)
+            yield SettingsConfig.from_json_dict(config.to_json_dict())
+
+    def test_every_vector_read_only(self):
+        for config in self.configs():
+            for v in config_arrays(config):
+                assert v.dtype == float and not v.flags.writeable
+
+    def test_write_raises_and_constants_kept(self):
+        constants = [v.copy() for v in (X, Y, Z, *_TETRA)]
+        config = canonical_i26(0.5)
+        assert config.pairs[0].u is not Z
+        for v in config_arrays(config):
+            with pytest.raises(ValueError):
+                v[0] = 0.6
+        assert all(np.array_equal(v, c) for v, c in zip((X, Y, Z, *_TETRA), constants))
+        assert_same_config(canonical_i26(0.5), config)
+
+    def test_caller_vectors_copied(self):
+        u, e_hat, n = Z.copy(), X.copy(), Y.copy()
+        config = SettingsConfig(
+            alice=(n,), pairs=(make_pair(u, e_hat, 0.5),), pairing=(0,), kind=KINDS["i26"]
+        )
+        assert u.flags.writeable and e_hat.flags.writeable and n.flags.writeable
+        u[0] = e_hat[0] = n[0] = 7.0
+        assert config.pairs[0].u.tobytes() == Z.tobytes()
+        assert config.pairs[0].e_hat.tobytes() == X.tobytes()
+        assert config.alice[0].tobytes() == Y.tobytes()

@@ -307,3 +307,46 @@ class TestTensorCache:
         t, a, b = np.eye(3), np.zeros(3), np.zeros(3)
         CorrelationTensor(t=t, a=a, b=b)
         assert t.flags.writeable and a.flags.writeable and b.flags.writeable
+
+
+def reference_correlation_tensor(state: TwoQubitState):
+    """(t, a, b) with one np.kron per entry, the body the stored products replaced."""
+    rho = state.matrix
+    eye = np.eye(2, dtype=complex)
+    t = np.empty((3, 3))
+    a = np.empty(3)
+    b = np.empty(3)
+    for j, sj in enumerate(qstate.PAULI):
+        a[j] = np.trace(rho @ np.kron(sj, eye)).real
+        b[j] = np.trace(rho @ np.kron(eye, sj)).real
+        for k, sk in enumerate(qstate.PAULI):
+            t[j, k] = np.trace(rho @ np.kron(sj, sk)).real
+    return t, a, b
+
+
+class TestTensorReference:
+    def check(self, state):
+        tensor = correlation_tensor(state)
+        for name, expected in zip(("t", "a", "b"), reference_correlation_tensor(state)):
+            assert np.array_equal(getattr(tensor, name), expected)
+            assert getattr(tensor, name).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("base", BELL_KINDS)
+    @pytest.mark.parametrize("v", [0.0, 0.37, 0.71, 0.98, 1.0])
+    def test_werner(self, v, base):
+        self.check(werner(v, base))
+
+    def test_random_full_rank(self):
+        rng = np.random.default_rng(15)
+        for _ in range(60):
+            state = random_state(rng)
+            assert np.linalg.eigvalsh(state.matrix).min() > 0.0
+            self.check(state)
+
+    def test_products_equal_kron(self):
+        sigmas = (np.eye(2, dtype=complex), *qstate.PAULI)
+        for j, sj in enumerate(sigmas):
+            for k, sk in enumerate(sigmas):
+                assert qstate._KRON[j, k].tobytes() == np.kron(sj, sk).tobytes()
+        with pytest.raises(ValueError):
+            qstate._KRON[1, 1, 0, 0] = 2.0
