@@ -2,7 +2,8 @@
 
 The digests pin the exact stdout of a corrected sampled sweep and of a
 corrected single-angle simulation for both inequalities, and of the
-numpy-free subcommands: the analytic sweep, ``thresholds`` and ``report``.
+numpy-free subcommands: the analytic sweep, ``thresholds`` and ``report``,
+and of ``verify``'s grid scan at four angles for both inequalities.
 Setting i of sweep step k samples from SeedSequence([seed, i, k]) and
 ``simulate`` is step 0, so the sweep's header and first row are pinned on
 their own too: they stay fixed while the streams of later steps do not.
@@ -48,6 +49,13 @@ THRESHOLDS_SHA256 = {
     "i26": "4270a957b3f24ac673d290d8e6054b5c692ed6977b238d97481296fbc53af6ed",
     "i28": "ed5f3c4a9f59e9d7f7426db3a7b7f7f3e767e7572125a957e2703b442d29b351",
 }
+VERIFY_ARGS = (
+    "--phi", "0", "--phi", "36.87", "--phi", "44.42", "--phi", "90", "--grid-size", "500",
+)
+VERIFY_SHA256 = {
+    "i26": "a1fe3b8c4e7f9672b622542b50e6bef59d003def7f0f9cd263ad0a2a049fc56a",
+    "i28": "e7578472bb8ad8182a828c30a99f56f4b11cc0306c0a7eed085915b8355c70ed",
+}
 REPORT_SHA256 = "8a80a20772db0d5887648a53e7699d895f08c8e0bb4373b6a675a62a091b1fa0"
 
 
@@ -86,6 +94,12 @@ def test_analytic_sweep(capsys):
 def test_thresholds(capsys, tag):
     digest = stdout_sha256(capsys, "thresholds", "--inequality", tag)
     assert digest == THRESHOLDS_SHA256[tag]
+
+
+@pytest.mark.parametrize("tag", ["i26", "i28"])
+def test_verify(capsys, tag):
+    digest = stdout_sha256(capsys, "verify", "--inequality", tag, *VERIFY_ARGS)
+    assert digest == VERIFY_SHA256[tag]
 
 
 def test_report(capsys):
