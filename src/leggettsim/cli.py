@@ -365,6 +365,16 @@ def _check_report_entries(entries, path: str):
             raise UsageError(f"{where}: unknown kind {kind!r}")
         for key in ("value", "sigma"):
             _check_type(f"{where}: {key}", entry[key], float)
+        # json.load accepts NaN, Infinity and ints beyond a float's range
+        try:
+            value, sigma = float(entry["value"]), float(entry["sigma"])
+        except OverflowError as exc:
+            raise UsageError(f"{where}: {exc}") from exc
+        if not math.isfinite(value):
+            raise UsageError(f"{where}: value: expected a finite number, got {value!r}")
+        # "not within range" rather than "outside it", so that NaN fails
+        if not 0.0 < sigma < math.inf:
+            raise UsageError(f"{where}: sigma: expected a positive number, got {sigma!r}")
 
 
 def cmd_report(args) -> int:

@@ -240,8 +240,8 @@ def estimate_correlation(counts):
 class SettingRecord(NamedTuple):
     """One setting's draws and estimates; a plain tuple, built positionally.
 
-    ``n`` and ``m`` are the configuration's read-only vectors, and
-    ``counts`` is a row of the block's read-only count array.
+    ``n``, ``m`` and ``counts`` are rows of the block's read-only setting
+    and count arrays.
     """
 
     setting_id: int
@@ -361,16 +361,15 @@ def run_experiments(
             raise ValueError(f"{name} must lie in [0, 2**32), got {value}")
     if readout is None:
         readout = ReadoutModel.identity()
-    blocks = [config.settings() for config in configs]
-    settings = [setting for block in blocks for setting in block]
-    n = np.array([setting[2] for setting in settings])
-    m = np.array([setting[3] for setting in settings])
+    # the records' n and m rows are views of these read-only stacks
+    n = _frozen(np.concatenate([c.alice[np.repeat(c.pairing, 2)] for c in configs]))
+    m = _frozen(np.concatenate([c.pairs.reshape(-1, 3) for c in configs]))
     p_phys = apply_confusion(readout, joint_probabilities(state, n, m))
     p_phys /= p_phys.sum(axis=1, keepdims=True)
     entropy = [
         (seed, setting_id, step)
-        for step, block in enumerate(blocks, first_step)
-        for setting_id, _, _, _ in block
+        for step, config in enumerate(configs, first_step)
+        for setting_id in range(2 * len(config.pairs))
     ]
     # its seed is never drawn from: each setting sets its own state first
     bit_generator = np.random.PCG64(0)
@@ -388,8 +387,8 @@ def run_experiments(
     # the records' count rows are views of this array
     counts.setflags(write=False)
     c_raw, sigma_raw = (column.tolist() for column in estimate_correlation(counts))
-    c_corr = sigma_corr = [None] * len(settings)
-    clipped = [False] * len(settings)
+    c_corr = sigma_corr = [None] * len(m)
+    clipped = [False] * len(m)
     if correct:
         p_corr, clipped_rows = correct_readout(readout, counts / shots_per_setting)
         c = p_corr[:, 0] + p_corr[:, 3] - p_corr[:, 1] - p_corr[:, 2]
@@ -398,22 +397,22 @@ def run_experiments(
 
     results = []
     start = 0
-    for config, block in zip(configs, blocks):
-        rows = slice(start, start + len(block))
+    for config in configs:
+        rows = slice(start, start + 2 * len(config.pairs))
         start = rows.stop
         records = [
             SettingRecord(
-                setting_id,
-                alice_idx,
-                n_i,
-                m_i,
+                i,
+                config.pairing[i // 2],
+                n[row],
+                m[row],
                 counts[row],
                 c_raw[row],
                 sigma_raw[row],
                 c_corr[row],
                 sigma_corr[row],
             )
-            for row, (setting_id, alice_idx, n_i, m_i) in enumerate(block, rows.start)
+            for i, row in enumerate(range(rows.start, rows.stop))
         ]
         raw, sigma_raw_total, nsig_raw = _assemble(config, c_raw[rows], sigma_raw[rows])
         corrected = sigma_corr_total = nsig_corr = None

@@ -1,27 +1,31 @@
 """Measurement settings on the Poincare sphere.
 
-Bob's settings come in pairs (m, m') separated by an angle phi and
-parametrized by a bisector u and a difference direction e_hat.  The two
+Bob's settings come in pairs (m, m') = cos(phi/2) u +- sin(phi/2) e_hat,
+separated by the angle phi and parametrized by a bisector u and a
+difference direction e_hat.  A ``SettingsConfig`` holds these as arrays:
+the bisectors and directions as (P, 3) stacks, one phi for all pairs, and
+the pairs themselves as a (P, 2, 3) stack of each pair's (m, m').  The two
 canonical configurations use an orthogonal triad of difference directions
 (six settings) and a regular tetrahedron (eight settings).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .inequalities import I26, I28, KINDS, InequalityKind
+from .inequalities import I26, I28, KINDS, InequalityKind, _check_phi
 from .qstate import CorrelationTensor, _check_unit, _frozen
 
 ORTHO_TOL = 1e-9
 DEGENERATE_TOL = 1e-9
 
-X = np.array([1.0, 0.0, 0.0])
-Y = np.array([0.0, 1.0, 0.0])
-Z = np.array([0.0, 0.0, 1.0])
+X = _frozen(np.array([1.0, 0.0, 0.0]))
+Y = _frozen(np.array([0.0, 1.0, 0.0]))
+Z = _frozen(np.array([0.0, 0.0, 1.0]))
 
 
 class DegenerateTensorError(ValueError):
@@ -29,87 +33,76 @@ class DegenerateTensorError(ValueError):
 
 
 @dataclass(frozen=True)
-class SettingPair:
-    """Bob setting pair m = cos(phi/2) u + sin(phi/2) e_hat, m' its mirror.
-
-    Built by ``make_pair`` and ``SettingsConfig.at``, whose vectors are
-    read-only float copies, so no write reaches a shared array.
-    """
-
-    m: np.ndarray
-    m_prime: np.ndarray
-    u: np.ndarray
-    e_hat: np.ndarray
-    phi: float
-
-
-@dataclass(frozen=True)
 class SettingsConfig:
-    """Alice vectors, Bob setting pairs and the pair -> Alice assignment.
+    """Alice vectors, Bob's setting pairs at one phi, and the pair -> Alice assignment.
 
-    ``alice`` holds unit 3-vectors, kept as read-only float copies.  ``at``
-    gives the same configuration at another phi.  ``pairing[i]`` is
-    the 0-based index of the Alice vector used with pair i.  ``kind`` is the
+    ``alice`` is an (A, 3) stack of unit vectors; ``u`` and ``e_hat`` are
+    (P, 3) stacks of each pair's bisector and difference direction, row by
+    row orthogonal unit vectors.  All are read-only float copies, as is the
+    derived (P, 2, 3) stack ``pairs`` of each pair's (m, m'), so
+    ``pairs.reshape(-1, 3)`` lists the settings in setting order.  ``at``
+    gives the same configuration at another phi.  ``pairing[i]`` is the
+    0-based index of the Alice vector used with pair i.  ``kind`` is the
     inequality the configuration tests; its JSON form is the tag.  The pair
     count is not tied to ``kind.num_pairs``: ``evaluate`` checks that where
     the inequality is evaluated.
     """
 
-    alice: tuple
-    pairs: tuple
+    alice: np.ndarray
+    u: np.ndarray
+    e_hat: np.ndarray
     pairing: tuple
+    phi: float
     kind: InequalityKind
+    pairs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.kind, InequalityKind):
             raise ValueError(f"unknown inequality kind {self.kind!r}")
+        _check_phi(self.phi)
         alice = []
         for i, n in enumerate(self.alice):
             # numpy raises TypeError on values it cannot convert, such as objects
             try:
-                alice.append(_frozen_unit(n, "n"))
+                alice.append(_check_unit(n, "n"))
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"alice[{i}]: {exc}") from exc
-        object.__setattr__(self, "alice", tuple(alice))
-        if not self.pairs:
+        if len(self.u) != len(self.e_hat):
+            raise ValueError(f"{len(self.e_hat)} difference directions for {len(self.u)} bisectors")
+        if not len(self.u):
             raise ValueError("a configuration needs at least one setting pair")
-        if len(self.pairing) != len(self.pairs):
-            raise ValueError(f"{len(self.pairing)} pairing entries for {len(self.pairs)} pairs")
-        if not all(i in range(len(self.alice)) for i in self.pairing):
-            raise ValueError(f"pairing {self.pairing} outside range({len(self.alice)})")
+        u, e_hat = [], []
+        for i, pair in enumerate(zip(self.u, self.e_hat)):
+            try:
+                u.append(_check_unit(pair[0], "u"))
+                e_hat.append(_check_unit(pair[1], "e_hat"))
+                dot = float(u[i] @ e_hat[i])
+                if not abs(dot) <= ORTHO_TOL:
+                    raise ValueError(f"u and e_hat must be orthogonal, dot = {dot}")
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"pairs[{i}]: {exc}") from exc
+        if len(self.pairing) != len(u):
+            raise ValueError(f"{len(self.pairing)} pairing entries for {len(u)} pairs")
+        if not all(i in range(len(alice)) for i in self.pairing):
+            raise ValueError(f"pairing {self.pairing} outside range({len(alice)})")
         # 1.0 and True pass the range test above
         if not all(type(i) is int for i in self.pairing):
             raise ValueError(f"pairing entries must be int indices, got {self.pairing}")
-        if len({p.phi for p in self.pairs}) > 1:
-            raise ValueError("setting pairs must share one phi")
-
-    @property
-    def phi(self) -> float:
-        return self.pairs[0].phi
+        for name, rows in (("alice", alice), ("u", u), ("e_hat", e_hat)):
+            object.__setattr__(self, name, _frozen(np.array(rows)))
+        object.__setattr__(self, "pairs", _pair_stack(self.u, self.e_hat, self.phi))
 
     def at(self, phi: float) -> "SettingsConfig":
         """This configuration with every pair at phi instead; phi in [0, pi].
 
         Only phi is checked: the rest was checked when this configuration
-        was built, and its vectors are read-only, so they still hold.
+        was built, and its arrays are read-only, so they still hold.
         """
         _check_phi(phi)
-        pairs = tuple(
-            SettingPair(*_mirror(p.u, p.e_hat, phi), p.u, p.e_hat, phi) for p in self.pairs
-        )
         config = object.__new__(SettingsConfig)
         # a frozen instance: fill its fields directly, without __post_init__
-        config.__dict__.update(self.__dict__, pairs=pairs)
+        config.__dict__.update(self.__dict__, phi=phi, pairs=_pair_stack(self.u, self.e_hat, phi))
         return config
-
-    def settings(self):
-        """Flat list of (setting_index, alice_index, n, m) over all settings."""
-        out = []
-        for i, pair in enumerate(self.pairs):
-            n = self.alice[self.pairing[i]]
-            out.append((2 * i, self.pairing[i], n, pair.m))
-            out.append((2 * i + 1, self.pairing[i], n, pair.m_prime))
-        return out
 
     def to_json_dict(self) -> dict:
         return {
@@ -117,13 +110,8 @@ class SettingsConfig:
             "phi_deg": math.degrees(self.phi),
             "alice": [list(n) for n in self.alice],
             "pairs": [
-                {
-                    "m": list(p.m),
-                    "m_prime": list(p.m_prime),
-                    "e_hat": list(p.e_hat),
-                    "u": list(p.u),
-                }
-                for p in self.pairs
+                {"m": list(m), "m_prime": list(m_prime), "e_hat": list(e_hat), "u": list(u)}
+                for (m, m_prime), u, e_hat in zip(self.pairs, self.u, self.e_hat)
             ],
             "pairing": [i + 1 for i in self.pairing],
         }
@@ -147,8 +135,6 @@ class SettingsConfig:
         for key in keys[2:]:
             if not isinstance(data[key], list):
                 raise ValueError(f"settings config: {key}: expected a list, got {data[key]!r}")
-        phi = math.radians(phi_deg)
-        pairs = []
         for i, p in enumerate(data["pairs"]):
             where = f"settings config: pairs[{i}]"
             if not isinstance(p, dict):
@@ -156,11 +142,6 @@ class SettingsConfig:
             missing = [key for key in ("u", "e_hat") if key not in p]
             if missing:
                 raise ValueError(f"{where}: missing {', '.join(missing)}")
-            # numpy raises TypeError on values it cannot convert, such as objects
-            try:
-                pairs.append(make_pair(p["u"], p["e_hat"], phi))
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{where}: {exc}") from exc
         alice = data["alice"]
         pairing = data["pairing"]
         # 1-based here; True and 1.0 are not indices
@@ -169,60 +150,36 @@ class SettingsConfig:
                 f"settings config: pairing {pairing}: expected int indices in 1..{len(alice)}"
             )
         kind = data["kind"]
-        # the constructor checks the Alice vectors, naming a bad one, and the kind
+        # the constructor checks the vectors, naming a bad one, phi and the kind
         try:
             return cls(
-                alice=tuple(alice),
-                pairs=tuple(pairs),
+                alice=alice,
+                u=[p["u"] for p in data["pairs"]],
+                e_hat=[p["e_hat"] for p in data["pairs"]],
                 pairing=tuple(i - 1 for i in pairing),
+                phi=math.radians(phi_deg),
                 kind=KINDS.get(kind, kind) if isinstance(kind, str) else kind,
             )
         except ValueError as exc:
             raise ValueError(f"settings config: {exc}") from exc
 
 
-def make_pair(u, e_hat, phi: float) -> SettingPair:
-    """Build the setting pair with bisector u, difference direction e_hat."""
-    u = _frozen_unit(u, "u")
-    e_hat = _frozen_unit(e_hat, "e_hat")
-    if not abs(float(u @ e_hat)) <= ORTHO_TOL:
-        raise ValueError(f"u and e_hat must be orthogonal, dot = {float(u @ e_hat)}")
-    _check_phi(phi)
-    return SettingPair(*_mirror(u, e_hat, phi), u, e_hat, phi)
-
-
-def _check_phi(phi: float):
-    # "not within range" rather than "outside it", so that NaN fails
-    if not 0.0 <= phi <= math.pi:
-        raise ValueError(f"phi must lie in [0, pi], got {phi}")
-
-
-def _mirror(u: np.ndarray, e_hat: np.ndarray, phi: float):
-    """(m, m') = cos(phi/2) u +- sin(phi/2) e_hat, both read-only."""
+def _pair_stack(u: np.ndarray, e_hat: np.ndarray, phi: float) -> np.ndarray:
+    """Read-only (P, 2, 3) stack of (m, m') = cos(phi/2) u +- sin(phi/2) e_hat."""
     cu, se = math.cos(phi / 2.0) * u, math.sin(phi / 2.0) * e_hat
-    return _frozen(cu + se), _frozen(cu - se)
-
-
-def _frozen_unit(vec, name: str) -> np.ndarray:
-    """A read-only float copy of ``vec``, checked to be one unit 3-vector."""
-    return _frozen(_check_unit(np.array(vec, dtype=float), name))
+    return _frozen(np.stack((cu + se, cu - se), axis=1))
 
 
 def canonical_i26(phi: float) -> SettingsConfig:
     """Six-setting configuration: orthogonal triad of difference directions."""
-    pairs = (
-        make_pair(Z, X, phi),
-        make_pair(Z, Y, phi),
-        make_pair(X, Z, phi),
+    return SettingsConfig(
+        alice=(Z, X), u=(Z, Z, X), e_hat=(X, Y, Z), pairing=(0, 0, 1), phi=phi, kind=I26
     )
-    return SettingsConfig(alice=(Z, X), pairs=pairs, pairing=(0, 0, 1), kind=I26)
 
 
-_TETRA = (
-    np.array([1.0, 1.0, 1.0]) / math.sqrt(3),
-    np.array([1.0, -1.0, -1.0]) / math.sqrt(3),
-    np.array([-1.0, 1.0, -1.0]) / math.sqrt(3),
-    np.array([-1.0, -1.0, 1.0]) / math.sqrt(3),
+_TETRA = _frozen(
+    np.array([[1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]])
+    / math.sqrt(3)
 )
 
 
@@ -234,13 +191,14 @@ def canonical_i28(phi: float) -> SettingsConfig:
     """
     u12 = np.array([0.0, 1.0, -1.0]) / math.sqrt(2)
     u34 = np.array([0.0, 1.0, 1.0]) / math.sqrt(2)
-    pairs = (
-        make_pair(u12, _TETRA[0], phi),
-        make_pair(u12, _TETRA[1], phi),
-        make_pair(u34, _TETRA[2], phi),
-        make_pair(u34, _TETRA[3], phi),
+    return SettingsConfig(
+        alice=(u12, u34),
+        u=(u12, u12, u34, u34),
+        e_hat=_TETRA,
+        pairing=(0, 0, 1, 1),
+        phi=phi,
+        kind=I28,
     )
-    return SettingsConfig(alice=(u12, u34), pairs=pairs, pairing=(0, 0, 1, 1), kind=I28)
 
 
 # inequality tag -> builder of its canonical configuration at half-angle phi
@@ -255,10 +213,10 @@ def adapt_to_state(tensor: CorrelationTensor, config: SettingsConfig) -> Setting
     Bob's pairs are left untouched.
     """
     new_alice = []
-    for alice_idx in range(len(config.alice)):
-        us = [p.u for i, p in enumerate(config.pairs) if config.pairing[i] == alice_idx]
+    for alice_idx, n in enumerate(config.alice):
+        us = [u for u, i in zip(config.u, config.pairing) if i == alice_idx]
         if not us:
-            new_alice.append(config.alice[alice_idx])
+            new_alice.append(n)
             continue
         for other in us[1:]:
             if not np.linalg.norm(other - us[0]) <= ORTHO_TOL:
@@ -268,12 +226,7 @@ def adapt_to_state(tensor: CorrelationTensor, config: SettingsConfig) -> Setting
         if not norm >= DEGENERATE_TOL:
             raise DegenerateTensorError(f"T u is numerically zero or NaN (|T u| = {norm})")
         new_alice.append(tu / norm)
-    return SettingsConfig(
-        alice=tuple(new_alice),
-        pairs=config.pairs,
-        pairing=config.pairing,
-        kind=config.kind,
-    )
+    return dataclasses.replace(config, alice=new_alice)
 
 
 def fibonacci_sphere(n: int) -> np.ndarray:

@@ -98,11 +98,10 @@ def _scan(config: SettingsConfig, grid_size: int):
     sine = config.kind.sine_coeff * math.sin(config.phi / 2.0)
     projections = []
     ceiling = np.zeros(grid_size)
-    for i, pair in enumerate(config.pairs):
-        n = config.alice[config.pairing[i]]
-        m_b = v_grid @ pair.m
-        m_b_prime = v_grid @ pair.m_prime
-        projections.append(((u_grid @ n)[:, None], m_b, m_b_prime))
+    for (m, m_prime), alice_idx in zip(config.pairs, config.pairing):
+        m_b = v_grid @ m
+        m_b_prime = v_grid @ m_prime
+        projections.append(((u_grid @ config.alice[alice_idx])[:, None], m_b, m_b_prime))
         ceiling += 2.0 - np.abs(m_b - m_b_prime)
     ceiling += sine + _SLACK
     order = np.argsort(-ceiling, kind="stable")

@@ -21,18 +21,18 @@ TRACE_TOL = 1e-12
 PSD_TOL = 1e-10
 UNIT_TOL = 1e-9
 
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-PAULI = (SIGMA_X, SIGMA_Y, SIGMA_Z)
-IDENTITY_2 = np.eye(2, dtype=complex)
-
 
 def _frozen(m: np.ndarray) -> np.ndarray:
     """``m``, made read-only."""
     m.setflags(write=False)
     return m
 
+
+SIGMA_X = _frozen(np.array([[0, 1], [1, 0]], dtype=complex))
+SIGMA_Y = _frozen(np.array([[0, -1j], [1j, 0]], dtype=complex))
+SIGMA_Z = _frozen(np.array([[1, 0], [0, -1]], dtype=complex))
+PAULI = (SIGMA_X, SIGMA_Y, SIGMA_Z)
+IDENTITY_2 = _frozen(np.eye(2, dtype=complex))
 
 # _KRON[j, k] = np.kron(sigma_j, sigma_k), sigma_0 the identity: every
 # product a tensor needs, each entry one multiply as np.kron makes it, built
@@ -44,10 +44,10 @@ _KRON = _frozen(
 
 _BELL_VECTORS = {
     # amplitudes over |00>, |01>, |10>, |11>
-    "phi_minus": np.array([1, 0, 0, -1], dtype=complex) / np.sqrt(2),
-    "phi_plus": np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2),
-    "psi_minus": np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2),
-    "psi_plus": np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2),
+    "phi_minus": _frozen(np.array([1, 0, 0, -1], dtype=complex) / np.sqrt(2)),
+    "phi_plus": _frozen(np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)),
+    "psi_minus": _frozen(np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)),
+    "psi_plus": _frozen(np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2)),
 }
 
 
@@ -181,18 +181,10 @@ def _check_norms(norms, name: str):
             raise ValueError(f"{name} must be a unit vector, |{name}| = {norm}")
 
 
-def correlation(state: TwoQubitState, n, m) -> float:
-    """Correlation function n^T T m for settings n (Alice) and m (Bob)."""
-    n = _check_unit(n, "n")
-    m = _check_unit(m, "m")
-    value = float(n @ state.tensor.t @ m)
-    return float(np.clip(value, -1.0, 1.0))
-
-
 # outcome signs (alpha, beta, alpha * beta) in the order (++, +-, -+, --)
-_ALPHA = np.array([1.0, 1.0, -1.0, -1.0])
-_BETA = np.array([1.0, -1.0, 1.0, -1.0])
-_ALPHA_BETA = _ALPHA * _BETA
+_ALPHA = _frozen(np.array([1.0, 1.0, -1.0, -1.0]))
+_BETA = _frozen(np.array([1.0, -1.0, 1.0, -1.0]))
+_ALPHA_BETA = _frozen(_ALPHA * _BETA)
 
 
 def joint_probabilities(state: TwoQubitState, n, m) -> np.ndarray:

@@ -104,8 +104,8 @@ def test_criterion_6_oracle_certification():
         points /= np.linalg.norm(points, axis=2, keepdims=True)
         u, v = points[:5000, 0], points[:5000, 1]
         total = sum(
-            pair_term_max(u @ config.alice[config.pairing[i]], v @ pair.m, v @ pair.m_prime)
-            for i, pair in enumerate(config.pairs)
+            pair_term_max(u @ config.alice[i], v @ m, v @ m_prime)
+            for (m, m_prime), i in zip(config.pairs, config.pairing)
         )
         ok = ok and bool(np.all(total - ceiling <= 1e-12))
     report("criterion 6: oracle certification and per-lambda bound", ok)

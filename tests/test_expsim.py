@@ -17,7 +17,7 @@ from leggettsim.expsim import (
     run_experiment,
     run_experiments,
 )
-from leggettsim.geometry import SettingsConfig, adapt_to_state, canonical_i26, make_pair
+from leggettsim.geometry import SettingsConfig, adapt_to_state, canonical_i26
 from leggettsim.inequalities import I26, I28, evaluate, quantum_value, sigma_violation
 from leggettsim.qstate import (
     TwoQubitState,
@@ -443,11 +443,19 @@ def reference_estimate_correlation(counts):
     return c_hat, math.sqrt(max(1.0 - c_hat * c_hat, 0.0) / total)
 
 
+def reference_settings(config):
+    """(setting_index, alice_index, n, m) of each setting, pair by pair."""
+    for i, ((m, m_prime), alice_idx) in enumerate(zip(config.pairs, config.pairing)):
+        n = config.alice[alice_idx]
+        yield 2 * i, alice_idx, n, m
+        yield 2 * i + 1, alice_idx, n, m_prime
+
+
 def reference_experiment(state, config, shots, seed, readout, correct, step):
     kind = config.kind
     records = []
     clip_events = 0
-    for setting_id, alice_idx, n, m in config.settings():
+    for setting_id, alice_idx, n, m in reference_settings(config):
         p_phys = readout.joint() @ reference_joint_probabilities(state, n, m)
         rng = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence([seed, setting_id, step]))
@@ -499,14 +507,15 @@ def random_state(rng):
 
 def random_config(rng, kind):
     phi = float(rng.uniform(0.0, math.pi))
-    pairs = []
+    us, e_hats = [], []
     for _ in range(kind.num_pairs):
         u = random_unit(rng)
         e_hat = np.cross(u, random_unit(rng))
-        pairs.append(make_pair(u, e_hat / np.linalg.norm(e_hat), phi))
+        us.append(u)
+        e_hats.append(e_hat / np.linalg.norm(e_hat))
     pairing = tuple(int(i) for i in rng.integers(0, 2, size=kind.num_pairs))
     alice = (random_unit(rng), random_unit(rng))
-    return SettingsConfig(alice=alice, pairs=tuple(pairs), pairing=pairing, kind=kind)
+    return SettingsConfig(alice=alice, u=us, e_hat=e_hats, pairing=pairing, phi=phi, kind=kind)
 
 
 def random_readout(rng):
@@ -640,8 +649,10 @@ class TestStackedMatchesReference:
             "setting_id", "alice_index", "n", "m", "counts",
             "c_raw", "sigma_raw", "c_corrected", "sigma_corrected",
         )
-        for rec, (setting_id, alice_idx, n, m) in zip(result.settings, config.settings()):
+        records = zip(result.settings, reference_settings(config), strict=True)
+        for rec, (setting_id, alice_idx, n, m) in records:
             assert isinstance(rec, tuple) and len(rec) == 9
-            assert rec[:2] == (setting_id, alice_idx) and rec[2] is n and rec[3] is m
+            assert rec[:2] == (setting_id, alice_idx)
+            assert rec.n.tobytes() == n.tobytes() and rec.m.tobytes() == m.tobytes()
             assert not (rec.n.flags.writeable or rec.m.flags.writeable)
         assert SettingRecord(0, 0, None, None, None, 1.0, 0.1)[7:] == (None, None)

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import unit_vectors
+from conftest import one_pair, unit_vectors
+from leggettsim import geometry
 from leggettsim.geometry import (
     _TETRA,
     CANONICAL,
@@ -21,7 +22,6 @@ from leggettsim.geometry import (
     canonical_i28,
     fibonacci_sphere,
     geometric_factor,
-    make_pair,
 )
 from leggettsim.inequalities import KINDS
 from leggettsim.qstate import CorrelationTensor, correlation_tensor, werner
@@ -34,48 +34,51 @@ def angle(a, b):
 
 
 def check_config_invariants(config):
-    for pair in config.pairs:
-        assert angle(pair.m, pair.m_prime) == pytest.approx(pair.phi, abs=1e-9)
-        assert abs(pair.u @ pair.e_hat) < 1e-9
-        c, s = math.cos(pair.phi / 2), math.sin(pair.phi / 2)
-        assert np.allclose(pair.m, c * pair.u + s * pair.e_hat, atol=1e-12)
-        assert np.allclose(pair.m_prime, c * pair.u - s * pair.e_hat, atol=1e-12)
-        su = pair.m + pair.m_prime
+    assert config.pairs.shape == (len(config.u), 2, 3)
+    c, s = math.cos(config.phi / 2), math.sin(config.phi / 2)
+    for (m, m_prime), u, e_hat in zip(config.pairs, config.u, config.e_hat):
+        assert angle(m, m_prime) == pytest.approx(config.phi, abs=1e-9)
+        assert abs(u @ e_hat) < 1e-9
+        assert np.allclose(m, c * u + s * e_hat, atol=1e-12)
+        assert np.allclose(m_prime, c * u - s * e_hat, atol=1e-12)
+        su = m + m_prime
         if np.linalg.norm(su) > 1e-9:
-            assert np.linalg.norm(np.cross(su, pair.u)) < 1e-9
-        de = pair.m - pair.m_prime
+            assert np.linalg.norm(np.cross(su, u)) < 1e-9
+        de = m - m_prime
         if np.linalg.norm(de) > 1e-9:
-            assert np.linalg.norm(np.cross(de, pair.e_hat)) < 1e-9
+            assert np.linalg.norm(np.cross(de, e_hat)) < 1e-9
 
 
 class TestMakePair:
+    """One setting pair (m, m'), built as a configuration of one pair."""
+
     def test_coincident(self):
-        pair = make_pair(Z, X, 0.0)
-        assert np.allclose(pair.m, Z) and np.allclose(pair.m_prime, Z)
+        m, m_prime = one_pair(Z, X, 0.0).pairs[0]
+        assert np.allclose(m, Z) and np.allclose(m_prime, Z)
 
     def test_antipodal(self):
-        pair = make_pair(Z, X, math.pi)
-        assert np.allclose(pair.m, X, atol=1e-15)
-        assert np.allclose(pair.m_prime, -X, atol=1e-15)
+        m, m_prime = one_pair(Z, X, math.pi).pairs[0]
+        assert np.allclose(m, X, atol=1e-15)
+        assert np.allclose(m_prime, -X, atol=1e-15)
 
     def test_optimal_angle_coordinates(self):
-        pair = make_pair(Z, X, math.radians(36.8699))
-        assert np.allclose(pair.m, [0.31623, 0, 0.94868], atol=1e-5)
-        assert np.allclose(pair.m_prime, [-0.31623, 0, 0.94868], atol=1e-5)
+        m, m_prime = one_pair(Z, X, math.radians(36.8699)).pairs[0]
+        assert np.allclose(m, [0.31623, 0, 0.94868], atol=1e-5)
+        assert np.allclose(m_prime, [-0.31623, 0, 0.94868], atol=1e-5)
 
     def test_non_orthogonal_rejected(self):
-        with pytest.raises(ValueError):
-            make_pair(Z, Z, 0.5)
+        with pytest.raises(ValueError, match=r"^pairs\[0\]: u and e_hat must be orthogonal"):
+            one_pair(Z, Z, 0.5)
 
     def test_phi_out_of_range(self):
-        with pytest.raises(ValueError):
-            make_pair(Z, X, 3.5)
+        with pytest.raises(ValueError, match=r"phi must lie in \[0, pi\]"):
+            one_pair(Z, X, 3.5)
 
     @pytest.mark.parametrize("which", ["u", "e_hat"])
     def test_nan_rejected(self, which):
         vectors = {"u": Z, "e_hat": X, which: np.array([np.nan, 0.0, 0.0])}
-        with pytest.raises(ValueError, match="unit vector"):
-            make_pair(vectors["u"], vectors["e_hat"], 0.5)
+        with pytest.raises(ValueError, match=rf"^pairs\[0\]: {which} must be a unit vector"):
+            one_pair(vectors["u"], vectors["e_hat"], 0.5)
 
     @given(unit_vectors(), st.floats(1e-6, math.pi - 1e-6))
     @settings(max_examples=50)
@@ -84,10 +87,10 @@ class TestMakePair:
         seed = X if abs(u @ X) < 0.9 else Y
         e_hat = np.cross(u, seed)
         e_hat /= np.linalg.norm(e_hat)
-        pair = make_pair(u, e_hat, phi)
-        rebuilt = make_pair(pair.u, pair.e_hat, angle(pair.m, pair.m_prime))
-        assert np.allclose(rebuilt.m, pair.m, atol=1e-10)
-        assert np.allclose(rebuilt.m_prime, pair.m_prime, atol=1e-10)
+        config = one_pair(u, e_hat, phi)
+        m, m_prime = config.pairs[0]
+        rebuilt = one_pair(config.u[0], config.e_hat[0], angle(m, m_prime))
+        assert np.allclose(rebuilt.pairs, config.pairs, atol=1e-10)
 
 
 class TestCanonicalConfigs:
@@ -98,7 +101,7 @@ class TestCanonicalConfigs:
         assert len(config.alice) == 2 and len(config.pairs) == 3
         assert config.pairing == (0, 0, 1)
         check_config_invariants(config)
-        e = [p.e_hat for p in config.pairs]
+        e = config.e_hat
         for i in range(3):
             for j in range(i + 1, 3):
                 assert abs(e[i] @ e[j]) < 1e-9
@@ -110,7 +113,7 @@ class TestCanonicalConfigs:
         assert len(config.alice) == 2 and len(config.pairs) == 4
         assert config.pairing == (0, 0, 1, 1)
         check_config_invariants(config)
-        e = [p.e_hat for p in config.pairs]
+        e = config.e_hat
         for i in range(4):
             for j in range(i + 1, 4):
                 assert e[i] @ e[j] == pytest.approx(-1 / 3, abs=1e-9)
@@ -120,9 +123,10 @@ class TestCanonicalConfigs:
         assert abs(config.alice[0] @ config.alice[1]) < 1e-12
 
     def test_i26_phi_zero_pairs_coincide(self):
-        for pair in canonical_i26(0.0).pairs:
-            assert np.allclose(pair.m, pair.m_prime, atol=1e-15)
-            assert np.allclose(pair.m, pair.u, atol=1e-15)
+        config = canonical_i26(0.0)
+        for (m, m_prime), u in zip(config.pairs, config.u):
+            assert np.allclose(m, m_prime, atol=1e-15)
+            assert np.allclose(m, u, atol=1e-15)
 
     def test_registry_matches_kinds(self):
         # KINDS is numpy-free and CANONICAL is not, so they stay two tables
@@ -143,10 +147,10 @@ class TestAdaptToState:
     def test_singlet_flips_bisectors(self):
         singlet = CorrelationTensor(t=-np.eye(3), a=np.zeros(3), b=np.zeros(3))
         config = adapt_to_state(singlet, canonical_i26(PHI_OPT_26))
-        for i, pair in enumerate(config.pairs):
-            n = config.alice[config.pairing[i]]
-            assert np.allclose(n, -pair.u, atol=1e-12)
-            term = abs(n @ singlet.t @ pair.m + n @ singlet.t @ pair.m_prime)
+        for (m, m_prime), u, i in zip(config.pairs, config.u, config.pairing):
+            n = config.alice[i]
+            assert np.allclose(n, -u, atol=1e-12)
+            term = abs(n @ singlet.t @ m + n @ singlet.t @ m_prime)
             assert term == pytest.approx(2 * math.cos(PHI_OPT_26 / 2), abs=1e-12)
 
     def test_phi_minus_keeps_z(self):
@@ -158,9 +162,9 @@ class TestAdaptToState:
     def test_scaled_tensor(self):
         tensor = CorrelationTensor(t=-0.9 * np.eye(3), a=np.zeros(3), b=np.zeros(3))
         config = adapt_to_state(tensor, canonical_i26(PHI_OPT_26))
-        for i, pair in enumerate(config.pairs):
-            n = config.alice[config.pairing[i]]
-            term = abs(n @ tensor.t @ pair.m + n @ tensor.t @ pair.m_prime)
+        for (m, m_prime), i in zip(config.pairs, config.pairing):
+            n = config.alice[i]
+            term = abs(n @ tensor.t @ m + n @ tensor.t @ m_prime)
             assert term == pytest.approx(1.8 * math.cos(PHI_OPT_26 / 2), abs=1e-12)
 
     def test_degenerate_tensor(self):
@@ -203,7 +207,7 @@ class TestGeometricFactor:
 
     @pytest.mark.parametrize("tag", sorted(CANONICAL))
     def test_sine_coeff_is_twice_canonical_factor(self, tag):
-        e_hats = [pair.e_hat for pair in CANONICAL[tag](0.5).pairs]
+        e_hats = CANONICAL[tag](0.5).e_hat
         assert abs(KINDS[tag].sine_coeff - 2 * geometric_factor(e_hats)) <= 1e-15
 
     def test_not_above_any_facet_normal(self):
@@ -266,7 +270,24 @@ class TestSettingsConfigValidation:
 
     def test_no_pairs(self):
         with pytest.raises(ValueError, match="at least one setting pair"):
-            SettingsConfig(alice=(Z,), pairs=(), pairing=(), kind=KINDS["i26"])
+            SettingsConfig(alice=(Z,), u=(), e_hat=(), pairing=(), phi=0.5, kind=KINDS["i26"])
+
+    def test_pair_count_mismatch(self):
+        with pytest.raises(ValueError, match="^2 difference directions for 3 bisectors$"):
+            dataclasses.replace(canonical_i26(0.5), e_hat=(X, Y))
+
+    @pytest.mark.parametrize(
+        "u, e_hat, message",
+        [
+            ((Z, 2 * Z, X), (X, Y, Z), "u must be a unit vector"),
+            ((Z, Z, X), (X, Y, [0.0, 0.0]), "e_hat must be a 3-vector"),
+            ((Z, Z, X), (X, Y, X), "u and e_hat must be orthogonal, dot = 1.0"),
+        ],
+    )
+    def test_pair_rejected(self, u, e_hat, message):
+        index = 1 if message.startswith("u must") else 2
+        with pytest.raises(ValueError, match=rf"^pairs\[{index}\]: {message}"):
+            dataclasses.replace(canonical_i26(0.5), u=u, e_hat=e_hat)
 
     @pytest.mark.parametrize("entry", [1.0, True])
     def test_pairing_entry_not_int(self, entry):
@@ -274,12 +295,6 @@ class TestSettingsConfigValidation:
         # would silently pick Alice vector 1
         with pytest.raises(ValueError, match="must be int indices"):
             dataclasses.replace(canonical_i26(0.5), pairing=(0, 0, entry))
-
-    def test_pairs_share_phi(self):
-        config = canonical_i26(math.radians(30))
-        odd = make_pair(X, Z, math.radians(80))
-        with pytest.raises(ValueError, match="one phi"):
-            dataclasses.replace(config, pairs=config.pairs[:2] + (odd,))
 
     def test_kind_is_an_inequality(self):
         with pytest.raises(ValueError, match="unknown inequality kind 'i26'"):
@@ -319,9 +334,7 @@ class TestSerialization:
         assert data["pairing"] == [1, 1, 2, 2]
         rebuilt = SettingsConfig.from_json_dict(data)
         assert rebuilt.kind is KINDS["i28"]
-        for a, b in zip(rebuilt.pairs, config.pairs):
-            assert np.allclose(a.m, b.m, atol=1e-12)
-            assert np.allclose(a.m_prime, b.m_prime, atol=1e-12)
+        assert np.allclose(rebuilt.pairs, config.pairs, atol=1e-12)
         assert rebuilt.pairing == config.pairing
 
     @pytest.mark.parametrize("key", ["u", "e_hat"])
@@ -370,46 +383,51 @@ def test_fibonacci_sphere_on_unit_sphere():
 
 
 def random_config(rng, kind, phi):
-    """A configuration of ``kind`` built with make_pair: random bisectors,
-    directions orthogonal to them, Alice vectors and pairing."""
-    pairs = []
-    for _ in range(kind.num_pairs):
-        u = rng.normal(size=3)
-        u /= np.linalg.norm(u)
-        e_hat = np.cross(u, rng.normal(size=3))
-        pairs.append(make_pair(u, e_hat / np.linalg.norm(e_hat), phi))
+    """A configuration of ``kind``: random bisectors, directions orthogonal
+    to them, Alice vectors and pairing."""
+    u = [v / np.linalg.norm(v) for v in rng.normal(size=(kind.num_pairs, 3))]
+    e_hat = [np.cross(v, rng.normal(size=3)) for v in u]
     alice = [n / np.linalg.norm(n) for n in rng.normal(size=(3, 3))]
     pairing = tuple(int(i) for i in rng.integers(0, len(alice), size=kind.num_pairs))
-    return SettingsConfig(alice=tuple(alice), pairs=tuple(pairs), pairing=pairing, kind=kind)
+    return SettingsConfig(
+        alice=alice,
+        u=u,
+        e_hat=[e / np.linalg.norm(e) for e in e_hat],
+        pairing=pairing,
+        phi=phi,
+        kind=kind,
+    )
 
 
 def assert_same_config(x, y):
-    """x and y hold the same vectors bit for bit, the same phi, pairing and kind."""
+    """x and y hold the same arrays bit for bit, the same phi, pairing and kind."""
     assert type(x) is type(y) is SettingsConfig
     assert x.kind is y.kind and x.pairing == y.pairing and x.phi == y.phi
-    assert [n.tobytes() for n in x.alice] == [n.tobytes() for n in y.alice]
-    assert len(x.pairs) == len(y.pairs)
-    for p, q in zip(x.pairs, y.pairs):
-        assert p.phi == q.phi
-        for name in ("m", "m_prime", "u", "e_hat"):
-            assert getattr(p, name).dtype == getattr(q, name).dtype == float
-            assert getattr(p, name).tobytes() == getattr(q, name).tobytes()
+    for name in ("alice", "u", "e_hat", "pairs"):
+        a, b = getattr(x, name), getattr(y, name)
+        assert a.dtype == b.dtype == float and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
 
 
-def rebuilt_at(config, phi):
-    """The reference for ``config.at(phi)``: every pair rebuilt by make_pair."""
-    pairs = tuple(make_pair(p.u, p.e_hat, phi) for p in config.pairs)
-    return dataclasses.replace(config, pairs=pairs)
+def reference_pairs(config):
+    """Each pair's (m, m') computed on its own, from its u and e_hat at config.phi."""
+    c, s = math.cos(config.phi / 2.0), math.sin(config.phi / 2.0)
+    return [(c * u + s * e_hat, c * u - s * e_hat) for u, e_hat in zip(config.u, config.e_hat)]
 
 
 class TestAt:
     @pytest.mark.parametrize("tag", ["i26", "i28"])
     def test_random_configs_equal_make_pair(self, tag):
+        # at(phi) skips the constructor's checks, but not one bit of its arrays
         rng = np.random.default_rng(150)
         for _ in range(40):
             config = random_config(rng, KINDS[tag], rng.uniform(0.0, math.pi))
             for phi in (*rng.uniform(0.0, math.pi, size=5), 0.0, math.pi):
-                assert_same_config(config.at(phi), rebuilt_at(config, phi))
+                moved = config.at(phi)
+                assert_same_config(moved, dataclasses.replace(config, phi=phi))
+                for (m, m_prime), (ref, ref_prime) in zip(moved.pairs, reference_pairs(moved)):
+                    assert m.tobytes() == ref.tobytes()
+                    assert m_prime.tobytes() == ref_prime.tobytes()
 
     @pytest.mark.parametrize("build", [canonical_i26, canonical_i28])
     @given(st.floats(0, math.pi), st.floats(0, math.pi))
@@ -422,15 +440,15 @@ class TestAt:
         for build in CANONICAL.values():
             template = adapt_to_state(tensor, build(0.0))
             config = template.at(0.7)
-            assert all(n is t for n, t in zip(config.alice, template.alice))
+            assert config.alice is template.alice
             assert_same_config(config, dataclasses.replace(build(0.7), alice=template.alice))
 
     def test_leaves_self_unchanged(self):
         config = canonical_i28(0.3)
-        before = [p.m.tobytes() for p in config.pairs]
+        before = config.pairs.tobytes()
         moved = config.at(1.2)
         assert config.phi == 0.3 and moved.phi == 1.2
-        assert [p.m.tobytes() for p in config.pairs] == before
+        assert config.pairs.tobytes() == before
 
     @pytest.mark.parametrize("phi", [-1e-12, -0.1, math.pi + 1e-12, 4.0, math.nan, math.inf])
     def test_phi_out_of_range(self, phi):
@@ -440,9 +458,10 @@ class TestAt:
 
 
 def config_arrays(config):
-    yield from config.alice
-    for pair in config.pairs:
-        yield from (pair.m, pair.m_prime, pair.u, pair.e_hat)
+    """Every array of ``config``, and a row of each."""
+    for v in (config.alice, config.u, config.e_hat, config.pairs):
+        yield from (v, v[0])
+    yield config.pairs[0, 1]
 
 
 class TestReadOnly:
@@ -461,22 +480,28 @@ class TestReadOnly:
                 assert v.dtype == float and not v.flags.writeable
 
     def test_write_raises_and_constants_kept(self):
-        constants = [v.copy() for v in (X, Y, Z, *_TETRA)]
+        constants = [v.copy() for v in (X, Y, Z, _TETRA)]
         config = canonical_i26(0.5)
-        assert config.pairs[0].u is not Z
+        assert not any(np.shares_memory(config.u, v) for v in (X, Y, Z))
         for v in config_arrays(config):
             with pytest.raises(ValueError):
                 v[0] = 0.6
-        assert all(np.array_equal(v, c) for v, c in zip((X, Y, Z, *_TETRA), constants))
+        assert all(np.array_equal(v, c) for v, c in zip((X, Y, Z, _TETRA), constants))
         assert_same_config(canonical_i26(0.5), config)
+
+    @pytest.mark.parametrize("name", ["X", "Y", "Z", "_TETRA"])
+    def test_module_constants_read_only(self, name):
+        # a write to geometry.X would move every later canonical configuration
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(geometry, name)[0] = 0.6
 
     def test_caller_vectors_copied(self):
         u, e_hat, n = Z.copy(), X.copy(), Y.copy()
         config = SettingsConfig(
-            alice=(n,), pairs=(make_pair(u, e_hat, 0.5),), pairing=(0,), kind=KINDS["i26"]
+            alice=(n,), u=(u,), e_hat=(e_hat,), pairing=(0,), phi=0.5, kind=KINDS["i26"]
         )
         assert u.flags.writeable and e_hat.flags.writeable and n.flags.writeable
         u[0] = e_hat[0] = n[0] = 7.0
-        assert config.pairs[0].u.tobytes() == Z.tobytes()
-        assert config.pairs[0].e_hat.tobytes() == X.tobytes()
+        assert config.u[0].tobytes() == Z.tobytes()
+        assert config.e_hat[0].tobytes() == X.tobytes()
         assert config.alice[0].tobytes() == Y.tobytes()

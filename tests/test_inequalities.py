@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import correlation
 from leggettsim.geometry import adapt_to_state, canonical_i26, canonical_i28
 from leggettsim.inequalities import (
     I26,
@@ -19,7 +20,7 @@ from leggettsim.inequalities import (
     v_min,
     violation_region,
 )
-from leggettsim.qstate import correlation, correlation_tensor, werner
+from leggettsim.qstate import correlation_tensor, werner
 
 PHI_OPT_26 = 2 * math.atan(1 / 3)
 PHI_OPT_28 = 2 * math.atan(1 / math.sqrt(6))
@@ -103,11 +104,9 @@ class TestQuantumValue:
         state = werner(visibility, "phi_minus")
         config = adapt_to_state(correlation_tensor(state), canonical(phi))
         correlations = []
-        for i, pair in enumerate(config.pairs):
-            n = config.alice[config.pairing[i]]
-            correlations.append(
-                (correlation(state, n, pair.m), correlation(state, n, pair.m_prime))
-            )
+        for (m, m_prime), i in zip(config.pairs, config.pairing):
+            n = config.alice[i]
+            correlations.append((correlation(state, n, m), correlation(state, n, m_prime)))
         value = evaluate(kind, phi, correlations).value
         assert value == pytest.approx(quantum_value(kind, phi, visibility), abs=1e-10)
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import unit_vectors
+from conftest import one_pair, unit_vectors
 from leggettsim import oracle
 from leggettsim.geometry import (
     CANONICAL,
@@ -15,7 +15,6 @@ from leggettsim.geometry import (
     canonical_i26,
     canonical_i28,
     fibonacci_sphere,
-    make_pair,
 )
 from leggettsim.inequalities import KINDS, quantum_value
 from leggettsim.oracle import pair_term_max, verify_bound
@@ -55,16 +54,21 @@ def enumerated_pair_term_max(m_a, m_b, m_b_prime):
     return max(abs(c + c_prime) for c in box[0] for c_prime in box[1])
 
 
+def setting_pair(u, e_hat, phi):
+    """The (m, m') of the setting pair with bisector u, direction e_hat, at phi."""
+    return one_pair(u, e_hat, phi).pairs[0]
+
+
 def marginals(u, v, n, pair):
-    """(u.n, v.m, v.m') of a hidden-variable point (u, v) for one pair."""
-    return float(u @ n), float(v @ pair.m), float(v @ pair.m_prime)
+    """(u.n, v.m, v.m') of a hidden-variable point (u, v) for one pair (m, m')."""
+    return float(u @ n), float(v @ pair[0]), float(v @ pair[1])
 
 
 def point_total(u, v, config):
     """Sum of the pair terms' maxima at one hidden-variable point."""
     return sum(
-        float(pair_term_max(*marginals(u, v, config.alice[config.pairing[i]], pair)))
-        for i, pair in enumerate(config.pairs)
+        float(pair_term_max(*marginals(u, v, config.alice[i], pair)))
+        for pair, i in zip(config.pairs, config.pairing)
     )
 
 
@@ -93,15 +97,15 @@ class TestCorrelationInterval:
 
 class TestPairTermMax:
     def test_forced_correlations(self):
-        pair = make_pair(Z, X, 0.0)
+        pair = setting_pair(Z, X, 0.0)
         assert pair_term_max(*marginals(Z, Z, Z, pair)) == pytest.approx(2.0, abs=1e-12)
 
     def test_all_marginals_zero(self):
-        pair = make_pair(Z, X, 0.3)
+        pair = setting_pair(Z, X, 0.3)
         assert pair_term_max(*marginals(X, Y, Z, pair)) == pytest.approx(2.0, abs=1e-12)
 
     def test_difference_direction_bound(self):
-        pair = make_pair(Z, X, math.radians(60))
+        pair = setting_pair(Z, X, math.radians(60))
         assert pair_term_max(*marginals(Z, X, Z, pair)) <= 1.0 + 1e-12
 
     @given(st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1))
@@ -125,9 +129,9 @@ class TestPairTermMax:
         e_seed = X if abs(u @ X) < 0.9 else Y
         e_hat = np.cross(u, e_seed)
         e_hat /= np.linalg.norm(e_hat)
-        pair = make_pair(u, e_hat, phi)
+        pair = setting_pair(u, e_hat, phi)
         value = pair_term_max(*marginals(u, v, n, pair))
-        assert value <= 2.0 - abs(float(v @ (pair.m - pair.m_prime))) + 1e-12
+        assert value <= 2.0 - abs(float(v @ (pair[0] - pair[1]))) + 1e-12
 
     @given(
         unit_vectors(), unit_vectors(), unit_vectors(), unit_vectors(), unit_vectors(),
@@ -140,9 +144,9 @@ class TestPairTermMax:
         if np.linalg.norm(e_hat) < 1e-3:
             e_hat = np.cross(bisector, X if abs(bisector @ X) < 0.9 else Y)
         e_hat /= np.linalg.norm(e_hat)
-        pair = make_pair(bisector, e_hat, phi)
+        pair = setting_pair(bisector, e_hat, phi)
         value = pair_term_max(*marginals(u, v, n, pair))
-        assert value <= 2.0 - abs(float(v @ (pair.m - pair.m_prime))) + 1e-12
+        assert value <= 2.0 - abs(float(v @ (pair[0] - pair[1]))) + 1e-12
 
 
 class TestOracleMax:
@@ -236,11 +240,10 @@ def exhaustive_scan(config, grid_size):
     u_grid = fibonacci_sphere(grid_size)
     v_grid = fibonacci_sphere(grid_size)
     total = np.zeros((grid_size, grid_size))
-    for i, pair in enumerate(config.pairs):
-        n = config.alice[config.pairing[i]]
-        m_a = (u_grid @ n)[:, None]
-        m_b = (v_grid @ pair.m)[None, :]
-        m_b_prime = (v_grid @ pair.m_prime)[None, :]
+    for (m, m_prime), i in zip(config.pairs, config.pairing):
+        m_a = (u_grid @ config.alice[i])[:, None]
+        m_b = (v_grid @ m)[None, :]
+        m_b_prime = (v_grid @ m_prime)[None, :]
         total += pair_term_max(m_a, m_b, m_b_prime)
     total += kind.sine_coeff * math.sin(config.phi / 2.0)
     flat = int(np.argmax(total))  # first occurrence: lowest-index tie-break
@@ -266,14 +269,17 @@ def random_config(seed):
     rng = np.random.default_rng(seed)
     phi = rng.uniform(0.0, math.pi)
     alice = tuple(random_unit(rng) for _ in range(rng.integers(1, 4)))
-    pairs = []
+    us, e_hats = [], []
     for _ in range(rng.integers(2, 6)):
         u = random_unit(rng)
         e_hat = np.cross(u, random_unit(rng))
-        pairs.append(make_pair(u, e_hat / np.linalg.norm(e_hat), phi))
-    pairing = tuple(int(rng.integers(len(alice))) for _ in pairs)
+        us.append(u)
+        e_hats.append(e_hat / np.linalg.norm(e_hat))
+    pairing = tuple(int(rng.integers(len(alice))) for _ in us)
     kind = (KINDS["i26"], KINDS["i28"])[int(rng.integers(2))]
-    return SettingsConfig(alice=alice, pairs=tuple(pairs), pairing=pairing, kind=kind)
+    return SettingsConfig(
+        alice=alice, u=us, e_hat=e_hats, pairing=pairing, phi=phi, kind=kind
+    )
 
 
 # phi = 0 makes every column ceiling tie, so the scan visits all columns
@@ -313,9 +319,7 @@ class TestPrunedScan:
     def test_cross_column_ties_match_exhaustive(self, grid_size, deg, bisector, e_hat):
         # the grid maximum is hit in two columns, and the column visited
         # second holds the tie with the lowest row-major index
-        pair = make_pair(bisector, e_hat, math.radians(deg))
-        config = SettingsConfig(alice=(Z,), pairs=(pair,), pairing=(0,), kind=KINDS["i26"])
-        assert_scan_matches_exhaustive(config, grid_size)
+        assert_scan_matches_exhaustive(one_pair(bisector, e_hat, math.radians(deg)), grid_size)
 
 
 class TestScanLimits:
@@ -343,7 +347,7 @@ class TestScanLimits:
         if np.linalg.norm(e_hat) < 1e-3:
             e_hat = np.cross(bisector, X if abs(bisector @ X) < 0.9 else Y)
         e_hat /= np.linalg.norm(e_hat)
-        pair = make_pair(bisector, e_hat, phi)
+        pair = setting_pair(bisector, e_hat, phi)
         m_a, m_b, m_b_prime = marginals(u, v, n, pair)
         term = float(pair_term_max(m_a, m_b, m_b_prime))
         assert term == pytest.approx(enumerated_pair_term_max(m_a, m_b, m_b_prime), abs=1e-14)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import unit_vectors
+from conftest import correlation, unit_vectors
 from leggettsim import qstate
 from leggettsim.qstate import (
     BELL_KINDS,
@@ -13,7 +13,6 @@ from leggettsim.qstate import (
     TwoQubitState,
     amplitude_fidelity,
     bell_state,
-    correlation,
     correlation_tensor,
     joint_probabilities,
     werner,
@@ -350,3 +349,19 @@ class TestTensorReference:
                 assert qstate._KRON[j, k].tobytes() == np.kron(sj, sk).tobytes()
         with pytest.raises(ValueError):
             qstate._KRON[1, 1, 0, 0] = 2.0
+
+
+
+# a write to any of these would move every later result
+@pytest.mark.parametrize(
+    "name", ["SIGMA_X", "SIGMA_Y", "SIGMA_Z", "IDENTITY_2", "_ALPHA", "_BETA", "_ALPHA_BETA"]
+)
+def test_module_constant_read_only(name):
+    with pytest.raises(ValueError, match="read-only"):
+        getattr(qstate, name)[0] = 0.6
+
+
+@pytest.mark.parametrize("base", BELL_KINDS)
+def test_bell_vector_read_only(base):
+    with pytest.raises(ValueError, match="read-only"):
+        qstate._BELL_VECTORS[base][0] = 0.6
