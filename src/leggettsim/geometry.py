@@ -72,10 +72,10 @@ class SettingsConfig:
         if not len(self.u):
             raise ValueError("a configuration needs at least one setting pair")
         u, e_hat = [], []
-        for i, pair in enumerate(zip(self.u, self.e_hat)):
+        for i, (u_i, e_i) in enumerate(zip(self.u, self.e_hat)):
             try:
-                u.append(_check_unit(pair[0], "u"))
-                e_hat.append(_check_unit(pair[1], "e_hat"))
+                u.append(_check_unit(u_i, "u"))
+                e_hat.append(_check_unit(e_i, "e_hat"))
                 dot = float(u[i] @ e_hat[i])
                 if not abs(dot) <= ORTHO_TOL:
                     raise ValueError(f"u and e_hat must be orthogonal, dot = {dot}")

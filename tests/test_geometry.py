@@ -277,15 +277,14 @@ class TestSettingsConfigValidation:
             dataclasses.replace(canonical_i26(0.5), e_hat=(X, Y))
 
     @pytest.mark.parametrize(
-        "u, e_hat, message",
+        "u, e_hat, index, message",
         [
-            ((Z, 2 * Z, X), (X, Y, Z), "u must be a unit vector"),
-            ((Z, Z, X), (X, Y, [0.0, 0.0]), "e_hat must be a 3-vector"),
-            ((Z, Z, X), (X, Y, X), "u and e_hat must be orthogonal, dot = 1.0"),
+            ((Z, 2 * Z, X), (X, Y, Z), 1, "u must be a unit vector"),
+            ((Z, Z, X), (X, Y, [0.0, 0.0]), 2, "e_hat must be a 3-vector"),
+            ((Z, Z, X), (X, Y, X), 2, "u and e_hat must be orthogonal, dot = 1.0"),
         ],
     )
-    def test_pair_rejected(self, u, e_hat, message):
-        index = 1 if message.startswith("u must") else 2
+    def test_pair_rejected(self, u, e_hat, index, message):
         with pytest.raises(ValueError, match=rf"^pairs\[{index}\]: {message}"):
             dataclasses.replace(canonical_i26(0.5), u=u, e_hat=e_hat)
 

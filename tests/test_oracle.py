@@ -277,9 +277,7 @@ def random_config(seed):
         e_hats.append(e_hat / np.linalg.norm(e_hat))
     pairing = tuple(int(rng.integers(len(alice))) for _ in us)
     kind = (KINDS["i26"], KINDS["i28"])[int(rng.integers(2))]
-    return SettingsConfig(
-        alice=alice, u=us, e_hat=e_hats, pairing=pairing, phi=phi, kind=kind
-    )
+    return SettingsConfig(alice=alice, u=us, e_hat=e_hats, pairing=pairing, phi=phi, kind=kind)
 
 
 # phi = 0 makes every column ceiling tie, so the scan visits all columns
