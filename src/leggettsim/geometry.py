@@ -11,9 +11,8 @@ canonical configurations use an orthogonal triad of difference directions
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -226,7 +225,7 @@ def adapt_to_state(tensor: CorrelationTensor, config: SettingsConfig) -> Setting
         if not norm >= DEGENERATE_TOL:
             raise DegenerateTensorError(f"T u is numerically zero or NaN (|T u| = {norm})")
         new_alice.append(tu / norm)
-    return dataclasses.replace(config, alice=new_alice)
+    return replace(config, alice=new_alice)
 
 
 def fibonacci_sphere(n: int) -> np.ndarray:
