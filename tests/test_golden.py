@@ -1,8 +1,9 @@
 """Byte-level goldens for the sampled and the analytic paths.
 
 The digests pin the exact stdout of a corrected sampled sweep and of a
-corrected single-angle simulation for both inequalities, and of the
-numpy-free subcommands: the analytic sweep, ``thresholds`` and ``report``,
+corrected single-angle simulation for both inequalities, of a raw
+(uncorrected) JSON sweep of two sweep blocks at the largest seed and of a
+raw simulation, and of the numpy-free subcommands: the analytic sweep, ``thresholds`` and ``report``,
 and of ``verify``'s grid scan at four angles for both inequalities.
 Setting i of sweep step k samples from SeedSequence([seed, i, k]) and
 ``simulate`` is step 0, so the sweep's header and first row are pinned on
@@ -29,6 +30,10 @@ SIMULATE_ARGS = (
     "--f0-nuclear", "0.97",
 )
 
+# raw: no --correct; 130 steps are two sweep blocks, at the largest seed
+RAW_SWEEP_ARGS = ("--format", "json", "--steps", "130", "--shots", "1000", "--seed", "4294967295")
+RAW_SIMULATE_ARGS = ("--phi", "36.87", "--shots", "100000", "--seed", "4")
+
 SWEEP_SHA256 = {
     "i26": "28c6ca07e163832c78f6b490a456bf353fbb84cafcfd8c77949d455aa764e2d1",
     "i28": "d017ab101199cc9198b9500601d1cff1183155476b948c316dddb947824adb85",
@@ -42,6 +47,14 @@ SWEEP_STEP0_SHA256 = {
 SIMULATE_SHA256 = {
     "i26": "030e88f60a4720712cdd972bff15f5c44fab435f1dd7c8eb644c992bd1417c37",
     "i28": "60a050d4b041f79f1e83d23a81ef8ba3ec03a7f643c8b23b2c90e9b157cbf3b0",
+}
+RAW_SWEEP_SHA256 = {
+    "i26": "21d33a69364c749dbd3893da10669948900b5fa384af50a3aa172016259dbf79",
+    "i28": "fc3273203edf370fa5ca72d988600df47b57824087eeb412a8cfced1101b92cd",
+}
+RAW_SIMULATE_SHA256 = {
+    "i26": "a143b02199fce6c5a1e8aa1a3f41fe7d369fb9b7f1b7bb9723001c3379004e12",
+    "i28": "c80ebea4792e5f2242b0619f4768b19c9906dd6bbb38601ff30e77e275cf9f3b",
 }
 # the analytic sweep digest is also pinned by the benchmark's output check
 ANALYTIC_SWEEP_SHA256 = "fa2835d10c8d5a272cb990ae28e58c77ae2bdff0f3ab21280eacb87d0dd1b535"
@@ -83,6 +96,18 @@ def test_sampled_sweep_step0(capsys, tag):
 def test_simulate(capsys, tag):
     digest = stdout_sha256(capsys, "simulate", "--inequality", tag, *SIMULATE_ARGS)
     assert digest == SIMULATE_SHA256[tag]
+
+
+@pytest.mark.parametrize("tag", ["i26", "i28"])
+def test_raw_sweep(capsys, tag):
+    digest = stdout_sha256(capsys, "sweep", "--inequality", tag, *RAW_SWEEP_ARGS)
+    assert digest == RAW_SWEEP_SHA256[tag]
+
+
+@pytest.mark.parametrize("tag", ["i26", "i28"])
+def test_raw_simulate(capsys, tag):
+    digest = stdout_sha256(capsys, "simulate", "--inequality", tag, *RAW_SIMULATE_ARGS)
+    assert digest == RAW_SIMULATE_SHA256[tag]
 
 
 def test_analytic_sweep(capsys):
