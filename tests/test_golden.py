@@ -3,11 +3,15 @@
 The digests pin the exact stdout of a corrected sampled sweep and of a
 corrected single-angle simulation for both inequalities, of a raw
 (uncorrected) JSON sweep of two sweep blocks at the largest seed and of a
-raw simulation, and of the numpy-free subcommands: the analytic sweep, ``thresholds`` and ``report``,
-and of ``verify``'s grid scan at four angles for both inequalities.
+raw simulation, of the numpy-free subcommands: the analytic sweep,
+``thresholds`` and ``report``, and of ``verify``'s grid scan at four angles
+for both inequalities.
 Setting i of sweep step k samples from SeedSequence([seed, i, k]) and
 ``simulate`` is step 0, so the sweep's header and first row are pinned on
 their own too: they stay fixed while the streams of later steps do not.
+The corrected goldens are pinned once more with their corrected-sigma
+fields removed, so a change to how that sigma is computed moves only the
+full digests.
 A change that reorders a floating-point operation, alters seeding or
 touches the output format shows up here.  They were recorded with numpy
 2.4; numpy may change its Generator streams between releases, which would
@@ -15,6 +19,7 @@ also move them.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -30,6 +35,16 @@ SIMULATE_ARGS = (
     "--f0-nuclear", "0.97",
 )
 
+# the corrected goldens without the fields that depend on the corrected sigma
+STRIPPED_SWEEP_SHA256 = {
+    "i26": "a4796a7cffd5259c75ea13d7988eb6204ffb4dbcf8a567f2bcf4abbaea81d8ad",
+    "i28": "39441434321004f55f6fe83c9a2c4ea416188912ffe28594175278fee983a34d",
+}
+STRIPPED_SIMULATE_SHA256 = {
+    "i26": "9c77390df83cdb32fd3b33d882ae46f21243a3370c77580ade9caf394d525bad",
+    "i28": "56987a3754d14fc495180295d04bf47b368438940d0a8b16342a4f9d95fc06f4",
+}
+SIGMA_COLUMNS = ("sigma_corrected", "sigmas_violation_corrected", "marginal")
 # raw: no --correct; 130 steps are two sweep blocks, at the largest seed
 RAW_SWEEP_ARGS = ("--format", "json", "--steps", "130", "--shots", "1000", "--seed", "4294967295")
 RAW_SIMULATE_ARGS = ("--phi", "36.87", "--shots", "100000", "--seed", "4")
@@ -72,11 +87,35 @@ VERIFY_SHA256 = {
 REPORT_SHA256 = "8a80a20772db0d5887648a53e7699d895f08c8e0bb4373b6a675a62a091b1fa0"
 
 
-def stdout_sha256(capsys, *argv) -> str:
+def stdout_of(capsys, *argv) -> str:
     code = main(list(argv))
     out = capsys.readouterr().out
     assert code == 0
-    return hashlib.sha256(out.encode()).hexdigest()
+    return out
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def stdout_sha256(capsys, *argv) -> str:
+    return sha256(stdout_of(capsys, *argv))
+
+
+def without_sigma_columns(csv_text: str) -> str:
+    """The CSV without the columns named in SIGMA_COLUMNS."""
+    rows = [line.split(",") for line in csv_text.splitlines()]
+    keep = [i for i, name in enumerate(rows[0]) if name not in SIGMA_COLUMNS]
+    return "".join(",".join(row[i] for i in keep) + "\n" for row in rows)
+
+
+def without_sigma_keys(json_text: str) -> str:
+    """The simulate JSON without its corrected-sigma keys, top level and per setting."""
+    data = json.loads(json_text)
+    del data["sigma_corrected"], data["sigmas_violation_corrected"]
+    for setting in data["settings"]:
+        del setting["sigma_corrected"]
+    return json.dumps(data, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("tag", ["i26", "i28"])
@@ -89,13 +128,25 @@ def test_sampled_sweep(capsys, tag):
 def test_sampled_sweep_step0(capsys, tag):
     assert main(["sweep", "--inequality", tag, *SWEEP_ARGS]) == 0
     head = "".join(capsys.readouterr().out.splitlines(keepends=True)[:2])
-    assert hashlib.sha256(head.encode()).hexdigest() == SWEEP_STEP0_SHA256[tag]
+    assert sha256(head) == SWEEP_STEP0_SHA256[tag]
 
 
 @pytest.mark.parametrize("tag", ["i26", "i28"])
 def test_simulate(capsys, tag):
     digest = stdout_sha256(capsys, "simulate", "--inequality", tag, *SIMULATE_ARGS)
     assert digest == SIMULATE_SHA256[tag]
+
+
+@pytest.mark.parametrize("tag", ["i26", "i28"])
+def test_sampled_sweep_without_corrected_sigma(capsys, tag):
+    out = stdout_of(capsys, "sweep", "--inequality", tag, *SWEEP_ARGS)
+    assert sha256(without_sigma_columns(out)) == STRIPPED_SWEEP_SHA256[tag]
+
+
+@pytest.mark.parametrize("tag", ["i26", "i28"])
+def test_simulate_without_corrected_sigma(capsys, tag):
+    out = stdout_of(capsys, "simulate", "--inequality", tag, *SIMULATE_ARGS)
+    assert sha256(without_sigma_keys(out)) == STRIPPED_SIMULATE_SHA256[tag]
 
 
 @pytest.mark.parametrize("tag", ["i26", "i28"])
