@@ -38,7 +38,7 @@ import numpy as np
 
 from .geometry import SettingsConfig
 from .inequalities import InequalityValue, evaluate, sigma_violation
-from .qstate import TwoQubitState, _frozen, joint_probabilities
+from .qstate import _ALPHA_BETA, TwoQubitState, _frozen, joint_probabilities
 
 MAX_CONDITION_NUMBER = 1e6
 
@@ -111,6 +111,15 @@ class ReadoutModel:
         # computed on the first correction only: a model never used to
         # correct never raises ConditioningError
         return float(np.linalg.cond(self._joint))
+
+    @cached_property
+    def _gain(self) -> np.ndarray:
+        """g = R^-T (1, -1, -1, 1), computed on first use.
+
+        Before clipping, the corrected correlation of reported frequencies f
+        is g . f.
+        """
+        return _frozen(np.linalg.solve(self._joint.T, _ALPHA_BETA))
 
 
 def _stack_of_4(x, name: str) -> np.ndarray:
@@ -218,6 +227,24 @@ def _pcg64_state(words) -> tuple[int, int]:
 def _sigma(c, shots):
     """Binomial standard error sqrt((1 - C^2)/N) of correlation estimates C."""
     return np.sqrt(np.maximum(1.0 - c * c, 0.0) / shots)
+
+
+def _corrected_sigma(model: ReadoutModel, f, shots):
+    """Standard error of the readout-corrected correlation, by the delta method.
+
+    f is an (S, 4) stack of reported frequencies.  Before clipping, the
+    corrected correlation is g . f with g = R^-T (1, -1, -1, 1), and f has
+    the multinomial covariance (diag(f) - f f^T)/N, so its variance is
+    (sum_j g_j^2 f_j - (g . f)^2)/N; see Maciejewski, Zimboras and
+    Oszmaniec, Quantum 4, 257 (2020).  The four terms are added left to
+    right.
+    """
+    g = model._gain.tolist()
+    mean = second = 0.0
+    for j in range(4):
+        mean = mean + g[j] * f[:, j]
+        second = second + g[j] * g[j] * f[:, j]
+    return np.sqrt(np.maximum(second - mean * mean, 0.0) / shots)
 
 
 def estimate_correlation(counts):
@@ -390,9 +417,11 @@ def run_experiments(
     c_corr = sigma_corr = [None] * len(m)
     clipped = [False] * len(m)
     if correct:
-        p_corr, clipped_rows = correct_readout(readout, counts / shots_per_setting)
+        f = counts / shots_per_setting
+        p_corr, clipped_rows = correct_readout(readout, f)
         c = p_corr[:, 0] + p_corr[:, 3] - p_corr[:, 1] - p_corr[:, 2]
-        c_corr, sigma_corr = c.tolist(), _sigma(c, shots_per_setting).tolist()
+        c_corr = c.tolist()
+        sigma_corr = _corrected_sigma(readout, f, shots_per_setting).tolist()
         clipped = clipped_rows.tolist()
 
     results = []

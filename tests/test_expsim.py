@@ -401,6 +401,43 @@ class TestRunExperiment:
             )
         assert len(calls) == 1
 
+    @pytest.mark.parametrize(
+        "fidelities",
+        [
+            (0.9, 0.9, 0.9, 0.9),
+            (0.97, 0.85, 0.93, 0.88),
+            # condition number 4.23: the most ill-conditioned model of a scan
+            # over (f0, f1, f0, f1) whose settings never clip on these seeds
+            (0.99, 0.6, 0.99, 0.6),
+        ],
+    )
+    def test_sigmas_calibrated(self, fidelities):
+        # over 200 seeds, the spread of the values matches the mean reported
+        # sigma, raw and corrected; the corrected sigma carries the noise
+        # gain of inverting R
+        state = werner(0.98)
+        config = adapted_config(state)
+        model = ReadoutModel.from_fidelities(*fidelities)
+        values = {"raw": [], "corrected": []}
+        sigmas = {"raw": [], "corrected": []}
+        for seed in range(200):
+            result = run_experiment(state, config, 20000, seed, model, correct=True)
+            assert result.clip_events == 0
+            values["raw"].append(result.raw.value)
+            sigmas["raw"].append(result.sigma_raw)
+            values["corrected"].append(result.corrected.value)
+            sigmas["corrected"].append(result.sigma_corrected)
+        for name in values:
+            ratio = float(np.std(values[name], ddof=1) / np.mean(sigmas[name]))
+            assert 0.85 <= ratio <= 1.15, (name, ratio)
+
+    def test_corrected_sigma_with_identity_model_is_binomial(self):
+        state = werner(0.9)
+        result = run_experiment(state, adapted_config(state), 1000, seed=6, correct=True)
+        for rec in result.settings:
+            assert rec.c_corrected == pytest.approx(rec.c_raw, abs=1e-15)
+            assert rec.sigma_corrected == pytest.approx(rec.sigma_raw, rel=1e-12)
+
     def test_wrong_pair_count(self):
         # three pairs tagged with the four-pair inequality
         state = werner(0.9)
@@ -443,6 +480,16 @@ def reference_estimate_correlation(counts):
     return c_hat, math.sqrt(max(1.0 - c_hat * c_hat, 0.0) / total)
 
 
+def reference_corrected_sigma(model, f, shots):
+    """Delta-method sigma of g . f, g = R^-T (1, -1, -1, 1), for one setting's frequencies f."""
+    g = np.linalg.solve(model.joint().T, [1.0, -1.0, -1.0, 1.0]).tolist()
+    mean = second = 0.0
+    for g_j, f_j in zip(g, f.tolist()):
+        mean += g_j * f_j
+        second += g_j * g_j * f_j
+    return math.sqrt(max(second - mean * mean, 0.0) / shots)
+
+
 def reference_settings(config):
     """(setting_index, alice_index, n, m) of each setting, pair by pair."""
     for i, ((m, m_prime), alice_idx) in enumerate(zip(config.pairs, config.pairing)):
@@ -467,7 +514,7 @@ def reference_experiment(state, config, shots, seed, readout, correct, step):
             p_corr, clipped = referencecorrect_readout(readout, counts / shots)
             clip_events += int(clipped)
             c_corr = float(p_corr[0] + p_corr[3] - p_corr[1] - p_corr[2])
-            sigma_corr = math.sqrt(max(1.0 - c_corr * c_corr, 0.0) / shots)
+            sigma_corr = reference_corrected_sigma(readout, counts / shots, shots)
         records.append(
             SettingRecord(setting_id, alice_idx, n, m, counts, c_raw, sigma_raw, c_corr, sigma_corr)
         )

@@ -50,18 +50,18 @@ RAW_SWEEP_ARGS = ("--format", "json", "--steps", "130", "--shots", "1000", "--se
 RAW_SIMULATE_ARGS = ("--phi", "36.87", "--shots", "100000", "--seed", "4")
 
 SWEEP_SHA256 = {
-    "i26": "28c6ca07e163832c78f6b490a456bf353fbb84cafcfd8c77949d455aa764e2d1",
-    "i28": "d017ab101199cc9198b9500601d1cff1183155476b948c316dddb947824adb85",
+    "i26": "325e9f0911029957844e63bf2daaf63308795fddf8eed8831638f6d9a4de49c2",
+    "i28": "81d0a9cf05295c8078e3e1469876f465d452fe750210c7fa53c52c54373720d1",
 }
 # header plus the step-0 row of the sampled sweep: step 0 draws the same
 # streams as ``simulate``
 SWEEP_STEP0_SHA256 = {
-    "i26": "bf1c9fea27ab89456b354b0c1770ef0e90b9d159898426826d59f5b750508020",
-    "i28": "cc0766950a6c47ed46cfcd877738655fe1aca8498c5aa08a5245c6635e7b627f",
+    "i26": "1b58989aa33ab84ccb6da0dcab9d266437a680bf52a3ac88fb47eafb0d85fcef",
+    "i28": "1d5b01e8f91b243655a6bf21197c71d6859e886380b9694e31bacd9742af1c15",
 }
 SIMULATE_SHA256 = {
-    "i26": "030e88f60a4720712cdd972bff15f5c44fab435f1dd7c8eb644c992bd1417c37",
-    "i28": "60a050d4b041f79f1e83d23a81ef8ba3ec03a7f643c8b23b2c90e9b157cbf3b0",
+    "i26": "c011ee27cad0fc9994b42a2ceaf3ddb460b0fb31121c83afe96678cb9f8dda24",
+    "i28": "27b394da2b5b224f5fd6c216901d0fbd094382d54a591b0e6188106e8cc2c1c3",
 }
 RAW_SWEEP_SHA256 = {
     "i26": "21d33a69364c749dbd3893da10669948900b5fa384af50a3aa172016259dbf79",
