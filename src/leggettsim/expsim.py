@@ -73,7 +73,7 @@ def _check_confusion_2x2(r: np.ndarray, name: str) -> np.ndarray:
     return _frozen(r)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReadoutModel:
     """Per-qubit confusion matrices; column j is P(reported | true = j).
 

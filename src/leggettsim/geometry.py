@@ -31,7 +31,7 @@ class DegenerateTensorError(ValueError):
     """Raised when a correlation tensor maps a bisector to (numerically) zero."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SettingsConfig:
     """Alice vectors, Bob's setting pairs at one phi, and the pair -> Alice assignment.
 

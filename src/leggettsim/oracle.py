@@ -28,7 +28,7 @@ import numpy as np
 from .geometry import SettingsConfig, fibonacci_sphere
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundReport:
     kind: str
     phi: float

@@ -55,7 +55,7 @@ class InvalidStateError(ValueError):
     """Raised when a density matrix violates the state invariants."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TwoQubitState:
     """A 4x4 density matrix; validated to be Hermitian, unit-trace, PSD.
 
@@ -85,7 +85,7 @@ class TwoQubitState:
         return correlation_tensor(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CorrelationTensor:
     """Pauli correlation matrix T plus marginal Bloch vectors a, b (read-only copies)."""
 

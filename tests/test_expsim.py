@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 
@@ -18,6 +19,7 @@ from leggettsim.expsim import (
     run_experiments,
 )
 from leggettsim.geometry import SettingsConfig, adapt_to_state, canonical_i26
+from leggettsim.oracle import verify_bound
 from leggettsim.inequalities import I26, I28, evaluate, quantum_value, sigma_violation
 from leggettsim.qstate import (
     TwoQubitState,
@@ -64,6 +66,27 @@ class TestReadoutModel:
     def test_joint_is_kron(self):
         model = ReadoutModel.from_fidelities(0.97, 0.95, 0.96, 0.94)
         assert model.joint().tobytes() == np.kron(model.r_a, model.r_b).tobytes()
+
+
+class TestValueTypes:
+    """The array-holding value types compare and hash by identity."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: canonical_i26(0.5),
+            lambda: werner(0.9),
+            lambda: werner(0.9).tensor,
+            lambda: ReadoutModel.from_fidelities(0.97, 0.95, 0.96, 0.94),
+            lambda: verify_bound(canonical_i26(0.5), 50),
+        ],
+    )
+    def test_identity_equality(self, build):
+        x = build()
+        assert x == x
+        assert x != copy.copy(x) and x != build()
+        assert hash(x) == hash(x) and isinstance(hash(copy.copy(x)), int)
+        assert len({x, x, copy.copy(x)}) == 2
 
 
 class TestConfusion:
