@@ -92,8 +92,9 @@ class RunConfig:
             )
         if self.steps < 1:
             raise UsageError(f"steps: must be >= 1, got {self.steps}")
-        if self.shots < 0:
-            raise UsageError(f"shots: must be >= 0, got {self.shots}")
+        # counts are exact in float64 only up to 2**53
+        if not 0 <= self.shots <= 2**53:
+            raise UsageError(f"shots: must lie in [0, 2**53], got {self.shots}")
         if not 0 <= self.seed < 2**32:
             raise UsageError(f"seed: must lie in [0, 2**32), got {self.seed}")
         for name in ("f0_nuclear", "f1_nuclear", "f0_electron", "f1_electron"):

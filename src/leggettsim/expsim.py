@@ -361,8 +361,9 @@ def run_experiments(
     Experiment j runs ``configs[j]`` with the streams of step
     ``first_step + j``: each of its settings draws its outcome counts,
     ordered (++, +-, -+, --), from SeedSequence([seed, setting_index,
-    step]).  ``seed`` and ``first_step`` must be ints (not bools), and
-    ``seed`` and every step must lie in [0, 2**32).  The settings of all
+    step]).  ``shots_per_setting``, ``seed`` and ``first_step`` must be
+    ints (not bools), shots must lie in [1, 2**53], and ``seed`` and every
+    step in [0, 2**32).  The settings of all
     experiments are stacked in block order for one pass each of seeding,
     probabilities, confusion, estimation and correction; the confusion
     model is folded into the sampling distribution.  The seeding pass
@@ -374,14 +375,15 @@ def run_experiments(
     experiment is its ``config.kind``; ``evaluate`` rejects a wrong pair
     count.
     """
-    if shots_per_setting < 1:
-        raise ValueError(f"shots must be >= 1, got {shots_per_setting}")
     if not configs:
         raise ValueError("need at least one configuration")
-    for name, value in (("seed", seed), ("step", first_step)):
+    for name, value in (("shots", shots_per_setting), ("seed", seed), ("step", first_step)):
         # bool is an int, and a float or string would reach the uint32 words
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise ValueError(f"{name} must be an int, got {value!r}")
+    # counts are held as float64, exact only up to 2**53
+    if not 1 <= shots_per_setting <= 2**53:
+        raise ValueError(f"shots must lie in [1, 2**53], got {shots_per_setting}")
     last_step = first_step + len(configs) - 1
     for name, value in (("seed", seed), ("step", first_step), ("step", last_step)):
         if not 0 <= value < 2**32:

@@ -35,6 +35,8 @@ def simulate_json(capsys, *argv) -> dict:
     return json.loads(out)
 
 
+# the two subcommands that sample
+RUN_ARGVS = [("sweep", "--steps", "2"), ("simulate", "--phi", "30")]
 READOUT_ARGS = ("--f0-nuclear", "0.97", "--f1-nuclear", "0.95", "--f0-electron", "0.96")
 
 
@@ -274,15 +276,31 @@ class TestSweep:
         assert from_config.encode() == from_flags.encode()
         assert from_config.splitlines()[1].startswith("10.0,")
 
-    @pytest.mark.parametrize(
-        "argv", [("sweep", "--steps", "2"), ("simulate", "--phi", "30")], ids=" ".join
-    )
+    @pytest.mark.parametrize("argv", RUN_ARGVS, ids=" ".join)
     @pytest.mark.parametrize("seed", ["4294967296", "-1"])
     def test_seed_out_of_range(self, capsys, argv, seed):
         code, out, err = run(capsys, *argv, "--shots", "10", "--seed", seed)
         assert code == 2
         assert err.startswith("error: seed:")
         assert out == ""
+
+    @pytest.mark.parametrize("argv", RUN_ARGVS, ids=" ".join)
+    @pytest.mark.parametrize(
+        "shots", ["9007199254740993", "9223372036854775807", "9223372036854775808", "-1"]
+    )
+    def test_shots_out_of_range(self, capsys, argv, shots):
+        # beyond 2**53 float64 counts are inexact; at 2**63 the sampler overflowed
+        code, out, err = run(capsys, *argv, "--shots", shots)
+        assert (code, out) == (2, "")
+        assert err == f"error: shots: must lie in [0, 2**53], got {shots}\n"
+
+    @pytest.mark.parametrize("argv", RUN_ARGVS, ids=" ".join)
+    def test_shots_out_of_range_in_config(self, capsys, tmp_path, argv):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"shots": 2**63}))
+        code, out, err = run(capsys, *argv, "--config", str(config))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: shots: must lie in [0, 2**53]")
 
     def test_later_step_does_not_alias_a_larger_seed(self, capsys):
         rows = sweep_rows(

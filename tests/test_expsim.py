@@ -191,8 +191,23 @@ class TestSampling:
         assert np.array_equal(a, b)
 
     def test_shots_validation(self):
-        with pytest.raises(ValueError, match="shots must be >= 1"):
+        with pytest.raises(ValueError, match=r"shots must lie in \[1, 2\*\*53\], got 0"):
             sampled_counts(werner(0.5), 0, seed=0)
+
+    @pytest.mark.parametrize("shots", [-1, 2**53 + 1, 2**63])
+    def test_shots_range(self, shots):
+        # float64 counts are exact only up to 2**53
+        with pytest.raises(ValueError, match=r"shots must lie in \[1, 2\*\*53\]"):
+            sampled_counts(werner(0.5), shots, seed=0)
+
+    def test_most_shots_accepted(self):
+        counts = sampled_counts(werner(0.5), 2**53, seed=0)
+        assert np.all(counts.sum(axis=1) == 2**53)
+
+    @pytest.mark.parametrize("shots", [2.5, 10.0, np.float64(10.0), True, "10"])
+    def test_shots_must_be_int(self, shots):
+        with pytest.raises(ValueError, match=r"^shots must be an int, got "):
+            sampled_counts(werner(0.5), shots, seed=0)
 
     def test_streams_differ_across_settings_steps_and_seeds(self):
         # the six settings of one run share one distribution, so equal
