@@ -229,7 +229,9 @@ def _sweep_rows(config: RunConfig):
     Steps go in blocks of ``_SWEEP_BLOCK``, and a sampled sweep runs each
     block as one ``run_experiments`` stack.  A block's rows are yielded once
     it is done, so memory is bounded by one block whatever the number of
-    steps; each row equals that of its step run alone.
+    steps; each row equals that of its step run alone.  Sampled cells are
+    read from the block's columns through ``tolist``, so they are floats;
+    an analytic sweep leaves them empty.
     """
     kind = inequalities.KINDS[config.inequality]
     experiment = _experiment(config) if config.shots > 0 else None
@@ -237,41 +239,36 @@ def _sweep_rows(config: RunConfig):
         stop = min(first + _SWEEP_BLOCK, config.steps)
         phis_deg = [_sweep_phi_deg(config, i) for i in range(first, stop)]
         phis = [math.radians(phi_deg) for phi_deg in phis_deg]
-        results = experiment(phis, first) if experiment else [None] * len(phis)
-        for phi_deg, phi, result in zip(phis_deg, phis, results):
-            analytic = inequalities.quantum_value(kind, phi, config.visibility)
-            if result is None:
-                yield (
-                    phi_deg,
-                    analytic,
-                    kind.bound,
-                    None,
-                    None,
-                    None,
-                    None,
-                    None,
-                    None,
-                    analytic > kind.bound,
-                    None,
-                )
-                continue
+        raw = corrected = [[None] * len(phis)] * 3
+        if experiment:
+            block = experiment(phis, first_step=first)
+            raw = _columns(block.raw)
             if config.correct:
-                value, sigma = result.corrected.value, result.sigma_corrected
-            else:
-                value, sigma = result.raw.value, result.sigma_raw
+                corrected = _columns(block.corrected)
+        for phi_deg, phi, *cells in zip(phis_deg, phis, *raw, *corrected):
+            i_raw, sigma_raw, nsig_raw, i_corr, sigma_corr, nsig_corr = cells
+            analytic = inequalities.quantum_value(kind, phi, config.visibility)
+            value, sigma = (i_corr, sigma_corr) if config.correct else (i_raw, sigma_raw)
+            if value is None:
+                value = analytic
             yield (
                 phi_deg,
                 analytic,
                 kind.bound,
-                result.raw.value,
-                result.sigma_raw,
-                result.corrected.value if config.correct else None,
-                result.sigma_corrected if config.correct else None,
-                result.sigmas_violation_raw,
-                result.sigmas_violation_corrected if config.correct else None,
+                i_raw,
+                sigma_raw,
+                i_corr,
+                sigma_corr,
+                nsig_raw,
+                nsig_corr,
                 value > kind.bound,
-                abs(value - kind.bound) < 3.0 * sigma,
+                None if sigma is None else abs(value - kind.bound) < 3.0 * sigma,
             )
+
+
+def _columns(estimates) -> list:
+    """Values, sigmas and sigmas of violation of a block, as lists of floats."""
+    return [estimates.value.tolist(), estimates.sigma.tolist(), estimates.sigmas_violation.tolist()]
 
 
 def _sweep_phi_deg(config: RunConfig, i: int) -> float:
@@ -282,12 +279,12 @@ def _sweep_phi_deg(config: RunConfig, i: int) -> float:
 
 
 def _experiment(config: RunConfig):
-    """Return run(phis, first_step), the configured sampled experiments.
+    """Return run(phis, first_step=0), the configured sampled experiments.
 
     The Werner state, its correlation tensor, the readout model and the
     canonical configuration adapted to the state are built and checked
-    once; each call runs that configuration ``at`` each phi (radians) as
-    one block, experiment j with the streams of sweep step
+    once; each call samples that configuration at each phi (radians) as one
+    ``run_experiments`` block, experiment j with the streams of sweep step
     ``first_step + j``.  ``simulate`` is a block of one at step 0.
     """
     from . import expsim, geometry, qstate
@@ -298,18 +295,15 @@ def _experiment(config: RunConfig):
     # adaptation: these are the bits adapt_to_state gives at every phi
     template = geometry.adapt_to_state(state.tensor, geometry.CANONICAL[config.inequality](0.0))
 
-    def run(phis, first_step: int) -> list[expsim.ExperimentResult]:
-        return expsim.run_experiments(
-            state,
-            [template.at(phi) for phi in phis],
-            shots_per_setting=config.shots,
-            seed=config.seed,
-            readout=readout,
-            correct=config.correct,
-            first_step=first_step,
-        )
-
-    return run
+    return functools.partial(
+        expsim.run_experiments,
+        state,
+        template,
+        shots_per_setting=config.shots,
+        seed=config.seed,
+        readout=readout,
+        correct=config.correct,
+    )
 
 
 def cmd_verify(args) -> int:
@@ -420,8 +414,8 @@ def cmd_simulate(args) -> int:
     if config.shots < 1:
         raise UsageError("shots: simulate requires shots >= 1")
     _check_phi_deg(args.phi)
-    (result,) = _experiment(config)([math.radians(args.phi)], 0)
-    _write_text(json.dumps(result.to_json_dict(), indent=2) + "\n", config.out)
+    block = _experiment(config)([math.radians(args.phi)])
+    _write_text(json.dumps(block.to_json_dict(0), indent=2) + "\n", config.out)
     return 0
 
 

@@ -1,19 +1,23 @@
 """Finite-shot Monte Carlo simulation of the correlation experiment.
 
 Sampling uses numpy's PCG64 generator.  ``run_experiments`` is the only
-sampler; it runs a block of experiments, experiment j at step
-``first_step + j``, and ``run_experiment`` is its block of one.  Its one
+sampler; it runs one configuration at a block of K angles, experiment k at
+step ``first_step + k``, and ``simulate`` is a block of one.  Its one
 seeding rule is SeedSequence([seed, setting_index, step]), with
 ``simulate`` as step 0.  Seeds and steps lie in [0, 2**32), one word each,
 so no two streams coincide and results do not depend on execution order,
 block size or platform.
 
-A block handles the settings of all its experiments as stacked arrays:
-settings n and m as (S, 3), probabilities and counts as (S, 4), one row
-per setting in block order.  ``joint_probabilities``, ``apply_confusion``,
-``correct_readout`` and ``estimate_correlation`` each take either one row
-or the whole stack, and row i of a stacked call has the bits of the call on
-row i alone.  Seeding is one pass too: ``_seed_words`` computes
+A block stays in read-only arrays from the angles to the numbers
+(``ExperimentBlock``): settings as (K, P, 2, 3), counts as (K, 2P, 4), and
+for the raw and the corrected data (``Estimates``) per-setting
+correlations as (K, 2P), pair terms as (K, P) and values, sigmas and
+sigmas of violation as (K,).  ``joint_probabilities``,
+``apply_confusion``, ``correct_readout`` and ``estimate_correlation`` each
+take either one row or the whole stack of S = 2PK settings, and row i of a
+stacked call has the bits of the call on row i alone.  Sums over settings
+and pairs add columns left to right, so the bits do not depend on the
+interpreter's ``sum``.  Seeding is one pass too: ``_seed_words`` computes
 SeedSequence's hash for every [seed, setting_index, step] row of the block
 as uint32 arrays, and ``_pcg64_state`` turns each row's words into the
 state that ``PCG64(SeedSequence(...))`` would start from.  Only the draws
@@ -24,20 +28,20 @@ states against ``np.random.SeedSequence`` and ``PCG64`` themselves.
 
 Readout confusion is applied to the outcome probabilities before
 sampling; this is equivalent in distribution to flipping sampled
-outcomes and exactly reproducible.
+outcomes and exactly reproducible.  The corrected sigma propagates the
+multinomial noise through the inverse confusion by the delta method.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .geometry import SettingsConfig
-from .inequalities import InequalityValue, evaluate, sigma_violation
+from .geometry import SettingsConfig, pair_stacks
 from .qstate import _ALPHA_BETA, TwoQubitState, _frozen, joint_probabilities
 
 MAX_CONDITION_NUMBER = 1e6
@@ -224,11 +228,6 @@ def _pcg64_state(words) -> tuple[int, int]:
     return (state * _PCG64_MULT + inc) & _MASK128, inc
 
 
-def _sigma(c, shots):
-    """Binomial standard error sqrt((1 - C^2)/N) of correlation estimates C."""
-    return np.sqrt(np.maximum(1.0 - c * c, 0.0) / shots)
-
-
 def _corrected_sigma(model: ReadoutModel, f, shots):
     """Standard error of the readout-corrected correlation, by the delta method.
 
@@ -258,125 +257,135 @@ def estimate_correlation(counts):
     if not total.min() >= 1:
         raise ValueError("counts must sum to at least 1")
     c_hat = (counts[..., 0] + counts[..., 3] - counts[..., 1] - counts[..., 2]) / total
-    sigma = _sigma(c_hat, total)
+    sigma = np.sqrt(np.maximum(1.0 - c_hat * c_hat, 0.0) / total)
     if counts.ndim == 1:
         return float(c_hat), float(sigma)
     return c_hat, sigma
 
 
-class SettingRecord(NamedTuple):
-    """One setting's draws and estimates; a plain tuple, built positionally.
+@dataclass(frozen=True, eq=False)
+class Estimates:
+    """One dataset, raw or readout-corrected, of a block of K experiments.
 
-    ``n``, ``m`` and ``counts`` are rows of the block's read-only setting
-    and count arrays.
+    With P setting pairs per experiment, ``c`` and ``c_sigma`` are the
+    (K, 2P) per-setting correlations and their standard errors in setting
+    order, ``pair_terms`` the (K, P) terms |C + C'|, and ``value``,
+    ``sigma`` and ``sigmas_violation`` the (K,) inequality values, their
+    standard errors and the sigmas by which they exceed the bound.  All are
+    read-only.
     """
 
-    setting_id: int
-    alice_index: int
-    n: np.ndarray
-    m: np.ndarray
-    counts: np.ndarray
-    c_raw: float
-    sigma_raw: float
-    c_corrected: Optional[float] = None
-    sigma_corrected: Optional[float] = None
+    c: np.ndarray
+    c_sigma: np.ndarray
+    pair_terms: np.ndarray
+    value: np.ndarray
+    sigma: np.ndarray
+    sigmas_violation: np.ndarray
 
 
-@dataclass(frozen=True)
-class ExperimentResult:
+@dataclass(frozen=True, eq=False)
+class ExperimentBlock:
+    """K experiments of one configuration at K angles, as read-only arrays.
+
+    Experiment k ran ``config`` at ``phis[k]``, with the streams of step
+    ``first_step + k`` of its ``run_experiments`` call; the phi of
+    ``config`` itself is not used.
+    ``settings`` is (K, P, 2, 3), each pair's (m, m'), and ``counts`` is
+    (K, 2P, 4), in setting order.  ``clip_events`` (K,) counts the settings
+    of each experiment whose correction clipped; ``corrected`` is None
+    unless the block was corrected.
+    """
+
     config: SettingsConfig
+    phis: np.ndarray
     shots_per_setting: int
     seed: int
-    settings: tuple
-    raw: InequalityValue
-    sigma_raw: float
-    sigmas_violation_raw: float
-    corrected: Optional[InequalityValue] = None
-    sigma_corrected: Optional[float] = None
-    sigmas_violation_corrected: Optional[float] = None
-    clip_events: int = 0
+    settings: np.ndarray
+    counts: np.ndarray
+    raw: Estimates
+    corrected: Optional[Estimates]
+    clip_events: np.ndarray
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, k: int = 0) -> dict:
+        """Experiment k as ``simulate`` writes it."""
+        config = replace(self.config, phi=float(self.phis[k]))
+        kind = config.kind
+        phi_deg = math.degrees(config.phi)
+        raw, corr = self.raw, self.corrected
+
+        def dataset(est: Estimates) -> dict:
+            value = float(est.value[k])
+            return {
+                "kind": kind.tag,
+                "phi_deg": phi_deg,
+                "value": value,
+                "bound": kind.bound,
+                "pair_terms": est.pair_terms[k].tolist(),
+                "violated": value > kind.bound,
+            }
+
+        settings = []
+        rows = zip(self.settings[k].reshape(-1, 3).tolist(), self.counts[k].tolist())
+        for i, (m, counts) in enumerate(rows):
+            alice_index = config.pairing[i // 2]
+            settings.append({
+                "setting_id": i,
+                "alice_index": alice_index,
+                "n": config.alice[alice_index].tolist(),
+                "m": m,
+                "counts": counts,
+                "c_raw": float(raw.c[k, i]),
+                "sigma_raw": float(raw.c_sigma[k, i]),
+                "c_corrected": None if corr is None else float(corr.c[k, i]),
+                "sigma_corrected": None if corr is None else float(corr.c_sigma[k, i]),
+            })
         out = {
-            "kind": self.config.kind.tag,
-            "phi_deg": math.degrees(self.config.phi),
+            "kind": kind.tag,
+            "phi_deg": phi_deg,
             "shots_per_setting": self.shots_per_setting,
             "seed": self.seed,
-            "settings": [
-                {
-                    "setting_id": rec.setting_id,
-                    "alice_index": rec.alice_index,
-                    "n": list(rec.n),
-                    "m": list(rec.m),
-                    "counts": [int(c) for c in rec.counts],
-                    "c_raw": rec.c_raw,
-                    "sigma_raw": rec.sigma_raw,
-                    "c_corrected": rec.c_corrected,
-                    "sigma_corrected": rec.sigma_corrected,
-                }
-                for rec in self.settings
-            ],
-            "raw": self.raw.to_json_dict(),
-            "sigma_raw": self.sigma_raw,
-            "sigmas_violation_raw": self.sigmas_violation_raw,
-            "clip_events": self.clip_events,
+            "settings": settings,
+            "raw": dataset(raw),
+            "sigma_raw": float(raw.sigma[k]),
+            "sigmas_violation_raw": float(raw.sigmas_violation[k]),
+            "clip_events": int(self.clip_events[k]),
         }
-        if self.corrected is not None:
-            out["corrected"] = self.corrected.to_json_dict()
-            out["sigma_corrected"] = self.sigma_corrected
-            out["sigmas_violation_corrected"] = self.sigmas_violation_corrected
-        out["config"] = self.config.to_json_dict()
+        if corr is not None:
+            out["corrected"] = dataset(corr)
+            out["sigma_corrected"] = float(corr.sigma[k])
+            out["sigmas_violation_corrected"] = float(corr.sigmas_violation[k])
+        out["config"] = config.to_json_dict()
         return out
-
-
-def run_experiment(
-    state: TwoQubitState,
-    config: SettingsConfig,
-    shots_per_setting: int,
-    seed: int,
-    readout: Optional[ReadoutModel] = None,
-    correct: bool = False,
-    step: int = 0,
-) -> ExperimentResult:
-    """One experiment: ``run_experiments`` on a block of one at ``step``.
-
-    ``simulate`` is step 0 and sweep step k is step k.
-    """
-    return run_experiments(
-        state, [config], shots_per_setting, seed, readout, correct, first_step=step
-    )[0]
 
 
 def run_experiments(
     state: TwoQubitState,
-    configs: Sequence[SettingsConfig],
+    config: SettingsConfig,
+    phis,
     shots_per_setting: int,
     seed: int,
     readout: Optional[ReadoutModel] = None,
     correct: bool = False,
     first_step: int = 0,
-) -> list[ExperimentResult]:
-    """Sample a block of experiments as one stack and assemble one result each.
+) -> ExperimentBlock:
+    """Sample ``config`` at each of the K angles ``phis`` as one block.
 
-    Experiment j runs ``configs[j]`` with the streams of step
-    ``first_step + j``: each of its settings draws its outcome counts,
-    ordered (++, +-, -+, --), from SeedSequence([seed, setting_index,
-    step]).  ``shots_per_setting``, ``seed`` and ``first_step`` must be
-    ints (not bools), shots must lie in [1, 2**53], and ``seed`` and every
-    step in [0, 2**32).  The settings of all
-    experiments are stacked in block order for one pass each of seeding,
-    probabilities, confusion, estimation and correction; the confusion
-    model is folded into the sampling distribution.  The seeding pass
-    hashes every setting's [seed, setting_index, step] words at once, and
-    one generator, set to each resulting PCG64 state in turn, draws the
-    counts a fresh generator per setting would.  Each result's records
-    hold rows of one read-only count array shared by the block, and its
-    ``clip_events`` counts its own settings only.  The inequality of an
-    experiment is its ``config.kind``; ``evaluate`` rejects a wrong pair
-    count.
+    Experiment k runs at ``phis[k]`` (radians, each in [0, pi]) with the
+    streams of step ``first_step + k``: each of its settings draws its
+    outcome counts, ordered (++, +-, -+, --), from SeedSequence([seed,
+    setting_index, step]).  ``shots_per_setting``, ``seed`` and
+    ``first_step`` must be ints (not bools), shots must lie in [1, 2**53],
+    and ``seed`` and every step in [0, 2**32).  The confusion model is
+    folded into the sampling distribution.  The inequality is
+    ``config.kind``, whose pair count the configuration must have.
     """
-    if not configs:
-        raise ValueError("need at least one configuration")
+    kind = config.kind
+    if len(config.pairs) != kind.num_pairs:
+        raise ValueError(
+            f"{kind.tag} needs {kind.num_pairs} correlation pairs, got {len(config.pairs)}"
+        )
+    if not len(phis):
+        raise ValueError("need at least one phi")
     for name, value in (("shots", shots_per_setting), ("seed", seed), ("step", first_step)):
         # bool is an int, and a float or string would reach the uint32 words
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -384,22 +393,19 @@ def run_experiments(
     # counts are held as float64, exact only up to 2**53
     if not 1 <= shots_per_setting <= 2**53:
         raise ValueError(f"shots must lie in [1, 2**53], got {shots_per_setting}")
-    last_step = first_step + len(configs) - 1
+    last_step = first_step + len(phis) - 1
     for name, value in (("seed", seed), ("step", first_step), ("step", last_step)):
         if not 0 <= value < 2**32:
             raise ValueError(f"{name} must lie in [0, 2**32), got {value}")
     if readout is None:
         readout = ReadoutModel.identity()
-    # the records' n and m rows are views of these read-only stacks
-    n = _frozen(np.concatenate([c.alice[np.repeat(c.pairing, 2)] for c in configs]))
-    m = _frozen(np.concatenate([c.pairs.reshape(-1, 3) for c in configs]))
-    p_phys = apply_confusion(readout, joint_probabilities(state, n, m))
+    settings = pair_stacks(config.u, config.e_hat, phis)
+    per_experiment = 2 * len(config.pairs)
+    n = np.tile(config.alice[np.repeat(config.pairing, 2)], (len(phis), 1))
+    p_phys = apply_confusion(readout, joint_probabilities(state, n, settings.reshape(-1, 3)))
     p_phys /= p_phys.sum(axis=1, keepdims=True)
-    entropy = [
-        (seed, setting_id, step)
-        for step, config in enumerate(configs, first_step)
-        for setting_id in range(2 * len(config.pairs))
-    ]
+    steps = range(first_step, last_step + 1)
+    entropy = [(seed, setting_id, step) for step in steps for setting_id in range(per_experiment)]
     # its seed is never drawn from: each setting sets its own state first
     bit_generator = np.random.PCG64(0)
     rng = np.random.Generator(bit_generator)
@@ -413,70 +419,53 @@ def run_experiments(
             "uinteger": 0,
         }
         counts[row] = rng.multinomial(shots_per_setting, p_phys[row])
-    # the records' count rows are views of this array
     counts.setflags(write=False)
-    c_raw, sigma_raw = (column.tolist() for column in estimate_correlation(counts))
-    c_corr = sigma_corr = [None] * len(m)
-    clipped = [False] * len(m)
+    sines = np.array([kind.sine_coeff * math.sin(phi / 2.0) for phi in phis])
+    raw = _estimates(kind, sines, *estimate_correlation(counts))
+    corrected = None
+    clipped = np.zeros(len(counts), dtype=bool)
     if correct:
         f = counts / shots_per_setting
-        p_corr, clipped_rows = correct_readout(readout, f)
+        p_corr, clipped = correct_readout(readout, f)
         c = p_corr[:, 0] + p_corr[:, 3] - p_corr[:, 1] - p_corr[:, 2]
-        c_corr = c.tolist()
-        sigma_corr = _corrected_sigma(readout, f, shots_per_setting).tolist()
-        clipped = clipped_rows.tolist()
-
-    results = []
-    start = 0
-    for config in configs:
-        rows = slice(start, start + 2 * len(config.pairs))
-        start = rows.stop
-        records = [
-            SettingRecord(
-                i,
-                config.pairing[i // 2],
-                n[row],
-                m[row],
-                counts[row],
-                c_raw[row],
-                sigma_raw[row],
-                c_corr[row],
-                sigma_corr[row],
-            )
-            for i, row in enumerate(range(rows.start, rows.stop))
-        ]
-        raw, sigma_raw_total, nsig_raw = _assemble(config, c_raw[rows], sigma_raw[rows])
-        corrected = sigma_corr_total = nsig_corr = None
-        if correct:
-            corrected, sigma_corr_total, nsig_corr = _assemble(
-                config, c_corr[rows], sigma_corr[rows]
-            )
-        results.append(
-            ExperimentResult(
-                config=config,
-                shots_per_setting=shots_per_setting,
-                seed=seed,
-                settings=tuple(records),
-                raw=raw,
-                sigma_raw=sigma_raw_total,
-                sigmas_violation_raw=nsig_raw,
-                corrected=corrected,
-                sigma_corrected=sigma_corr_total,
-                sigmas_violation_corrected=nsig_corr,
-                clip_events=sum(clipped[rows]),
-            )
-        )
-    return results
+        corrected = _estimates(kind, sines, c, _corrected_sigma(readout, f, shots_per_setting))
+    shape = (len(phis), per_experiment)
+    clip_events = _frozen(clipped.reshape(shape).sum(axis=1))
+    phis = _frozen(np.array(phis, dtype=float))
+    counts = counts.reshape(*shape, 4)
+    return ExperimentBlock(
+        config, phis, shots_per_setting, seed, settings, counts, raw, corrected, clip_events
+    )
 
 
-def _assemble(config: SettingsConfig, values, sigmas):
-    """(inequality value, total sigma, sigmas of violation) of one experiment."""
-    kind = config.kind
-    ineq = evaluate(kind, config.phi, list(zip(values[::2], values[1::2])))
-    # pair terms treated as sign-fixed; invalid near |C + C'| = 0
-    sigma = math.sqrt(sum(s * s for s in sigmas))
-    if sigma == 0.0:
-        excess = ineq.value - kind.bound
-        nsig = math.inf if excess > 0 else (-math.inf if excess < 0 else 0.0)
-        return ineq, sigma, nsig
-    return ineq, sigma, sigma_violation(ineq.value, sigma, kind)
+def _row_sums(x: np.ndarray) -> np.ndarray:
+    """Each row's sum, adding the columns left to right as ``sum`` did up
+    to Python 3.11; from 3.12 it compensates, and ``np.sum`` may pair terms."""
+    total = x[:, 0]
+    for j in range(1, x.shape[1]):
+        total = total + x[:, j]
+    return total
+
+
+def _estimates(kind, sines, c, c_sigma) -> Estimates:
+    """Pair terms, values, sigmas and sigmas of violation of a block.
+
+    ``c`` and ``c_sigma`` hold the block's settings in order, K experiments
+    of 2P settings, and ``sines`` each experiment's sine term.  Pair terms
+    are treated as sign-fixed, so an experiment's sigma is the root sum of
+    its settings' squared sigmas; this fails near |C + C'| = 0.  A sigma of
+    0 gives sigmas of violation of +-inf, or 0 at the bound.
+    """
+    # "not within range" rather than "outside it", so that NaN fails
+    outside = ~(np.abs(c) <= 1.0 + 1e-9)
+    if outside.any():
+        raise ValueError(f"correlations must lie in [-1, 1], got {c[outside][0]}")
+    c = c.reshape(len(sines), -1)
+    c_sigma = c_sigma.reshape(c.shape)
+    pair_terms = np.abs(c[:, 0::2] + c[:, 1::2])
+    value = _row_sums(pair_terms) + sines
+    sigma = np.sqrt(_row_sums(c_sigma * c_sigma))
+    excess = value - kind.bound
+    nsig = np.where(excess > 0.0, np.inf, np.where(excess < 0.0, -np.inf, 0.0))
+    np.divide(excess, sigma, out=nsig, where=sigma != 0.0)
+    return Estimates(*(_frozen(x) for x in (c, c_sigma, pair_terms, value, sigma, nsig)))

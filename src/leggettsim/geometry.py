@@ -4,9 +4,11 @@ Bob's settings come in pairs (m, m') = cos(phi/2) u +- sin(phi/2) e_hat,
 separated by the angle phi and parametrized by a bisector u and a
 difference direction e_hat.  A ``SettingsConfig`` holds these as arrays:
 the bisectors and directions as (P, 3) stacks, one phi for all pairs, and
-the pairs themselves as a (P, 2, 3) stack of each pair's (m, m').  The two
-canonical configurations use an orthogonal triad of difference directions
-(six settings) and a regular tetrahedron (eight settings).
+the pairs themselves as a (P, 2, 3) stack of each pair's (m, m').
+``pair_stacks`` computes the pairs at K angles at once, as (K, P, 2, 3),
+with the same elementwise operations.  The two canonical configurations
+use an orthogonal triad of difference directions (six settings) and a
+regular tetrahedron (eight settings).
 """
 
 from __future__ import annotations
@@ -39,11 +41,11 @@ class SettingsConfig:
     (P, 3) stacks of each pair's bisector and difference direction, row by
     row orthogonal unit vectors.  All are read-only float copies, as is the
     derived (P, 2, 3) stack ``pairs`` of each pair's (m, m'), so
-    ``pairs.reshape(-1, 3)`` lists the settings in setting order.  ``at``
-    gives the same configuration at another phi.  ``pairing[i]`` is the
+    ``pairs.reshape(-1, 3)`` lists the settings in setting order.
+    ``pair_stacks`` gives the pairs at other angles.  ``pairing[i]`` is the
     0-based index of the Alice vector used with pair i.  ``kind`` is the
     inequality the configuration tests; its JSON form is the tag.  The pair
-    count is not tied to ``kind.num_pairs``: ``evaluate`` checks that where
+    count is not tied to ``kind.num_pairs``: the sampler checks that where
     the inequality is evaluated.
     """
 
@@ -89,19 +91,7 @@ class SettingsConfig:
             raise ValueError(f"pairing entries must be int indices, got {self.pairing}")
         for name, rows in (("alice", alice), ("u", u), ("e_hat", e_hat)):
             object.__setattr__(self, name, _frozen(np.array(rows)))
-        object.__setattr__(self, "pairs", _pair_stack(self.u, self.e_hat, self.phi))
-
-    def at(self, phi: float) -> "SettingsConfig":
-        """This configuration with every pair at phi instead; phi in [0, pi].
-
-        Only phi is checked: the rest was checked when this configuration
-        was built, and its arrays are read-only, so they still hold.
-        """
-        _check_phi(phi)
-        config = object.__new__(SettingsConfig)
-        # a frozen instance: fill its fields directly, without __post_init__
-        config.__dict__.update(self.__dict__, phi=phi, pairs=_pair_stack(self.u, self.e_hat, phi))
-        return config
+        object.__setattr__(self, "pairs", pair_stacks(self.u, self.e_hat, [self.phi])[0])
 
     def to_json_dict(self) -> dict:
         return {
@@ -163,10 +153,20 @@ class SettingsConfig:
             raise ValueError(f"settings config: {exc}") from exc
 
 
-def _pair_stack(u: np.ndarray, e_hat: np.ndarray, phi: float) -> np.ndarray:
-    """Read-only (P, 2, 3) stack of (m, m') = cos(phi/2) u +- sin(phi/2) e_hat."""
-    cu, se = math.cos(phi / 2.0) * u, math.sin(phi / 2.0) * e_hat
-    return _frozen(np.stack((cu + se, cu - se), axis=1))
+def pair_stacks(u: np.ndarray, e_hat: np.ndarray, phis) -> np.ndarray:
+    """Read-only (K, P, 2, 3) stack of (m, m') = cos(phi/2) u +- sin(phi/2) e_hat.
+
+    Row k holds the P pairs of bisectors ``u`` and directions ``e_hat``,
+    both (P, 3), at ``phis[k]``, each in [0, pi].  The cosines and sines
+    come from ``math``, and every element is one IEEE multiply and one add,
+    so row k does not depend on the other angles.
+    """
+    for phi in phis:
+        _check_phi(phi)
+    cos = np.array([math.cos(phi / 2.0) for phi in phis])[:, None, None]
+    sin = np.array([math.sin(phi / 2.0) for phi in phis])[:, None, None]
+    cu, se = cos * u, sin * e_hat
+    return _frozen(np.stack((cu + se, cu - se), axis=2))
 
 
 def canonical_i26(phi: float) -> SettingsConfig:

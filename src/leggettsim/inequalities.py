@@ -1,7 +1,10 @@
-"""Six- and eight-setting Leggett-type inequality values and thresholds.
+"""Six- and eight-setting Leggett-type inequalities: kinds, closed forms, thresholds.
 
 The inequality value is the full left-hand side including the sine term,
 so the bound is the constant 6 (six settings) or 8 (eight settings).
+Sampled values are evaluated in ``expsim``, on a block's arrays; this
+module gives the closed-form quantum values, maximal violations, violation
+regions, visibility and fidelity thresholds and sigmas of violation.
 
 This module imports only the standard library, so the closed-form
 subcommands of the CLI start without numpy.  It therefore also holds the
@@ -34,25 +37,6 @@ I28 = InequalityKind(tag="i28", num_pairs=4, sine_coeff=8.0 / math.sqrt(6.0))
 KINDS = {"i26": I26, "i28": I28}
 
 
-@dataclass(frozen=True)
-class InequalityValue:
-    kind: InequalityKind
-    phi: float
-    value: float
-    pair_terms: tuple
-    violated: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind.tag,
-            "phi_deg": math.degrees(self.phi),
-            "value": self.value,
-            "bound": self.kind.bound,
-            "pair_terms": list(self.pair_terms),
-            "violated": self.violated,
-        }
-
-
 def _check_phi(phi: float):
     if not 0.0 <= phi <= math.pi:
         raise ValueError(f"phi must lie in [0, pi], got {phi}")
@@ -61,27 +45,6 @@ def _check_phi(phi: float):
 def _check_visibility(v: float):
     if not 0.0 <= v <= 1.0:
         raise ValueError(f"visibility must lie in [0, 1], got {v}")
-
-
-def evaluate(kind: InequalityKind, phi: float, correlations) -> InequalityValue:
-    """Inequality value from per-pair correlations [(C_i, C_i'), ...]."""
-    _check_phi(phi)
-    if len(correlations) != kind.num_pairs:
-        raise ValueError(
-            f"{kind.tag} needs {kind.num_pairs} correlation pairs, got {len(correlations)}"
-        )
-    for c, cp in correlations:
-        if not (-1.0 - 1e-9 <= c <= 1.0 + 1e-9 and -1.0 - 1e-9 <= cp <= 1.0 + 1e-9):
-            raise ValueError(f"correlations must lie in [-1, 1], got ({c}, {cp})")
-    pair_terms = tuple(abs(c + cp) for c, cp in correlations)
-    value = sum(pair_terms) + kind.sine_coeff * math.sin(phi / 2.0)
-    return InequalityValue(
-        kind=kind,
-        phi=phi,
-        value=value,
-        pair_terms=pair_terms,
-        violated=value > kind.bound,
-    )
 
 
 def quantum_value(kind: InequalityKind, phi: float, visibility: float) -> float:

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 from hypothesis import strategies as st
 
+from leggettsim.expsim import run_experiments
 from leggettsim.geometry import Z, SettingsConfig
 from leggettsim.inequalities import I26
 from leggettsim.qstate import _check_unit
@@ -35,3 +38,39 @@ def correlation(state, n, m) -> float:
     n = _check_unit(n, "n")
     m = _check_unit(m, "m")
     return float(np.clip(float(n @ state.tensor.t @ m), -1.0, 1.0))
+
+
+def evaluate(kind, phi: float, correlations) -> dict:
+    """Inequality value from per-pair correlations [(C_i, C_i'), ...].
+
+    The scalar test reference for the sampler's pair terms and values, in
+    the form ``simulate`` writes them: each pair term is |C + C'|, and the
+    terms are added left to right, then the sine term.
+    """
+    if not 0.0 <= phi <= math.pi:
+        raise ValueError(f"phi must lie in [0, pi], got {phi}")
+    if len(correlations) != kind.num_pairs:
+        raise ValueError(
+            f"{kind.tag} needs {kind.num_pairs} correlation pairs, got {len(correlations)}"
+        )
+    for c, cp in correlations:
+        if not (-1.0 - 1e-9 <= c <= 1.0 + 1e-9 and -1.0 - 1e-9 <= cp <= 1.0 + 1e-9):
+            raise ValueError(f"correlations must lie in [-1, 1], got ({c}, {cp})")
+    pair_terms = [abs(c + cp) for c, cp in correlations]
+    value = 0.0
+    for term in pair_terms:
+        value += term
+    value += kind.sine_coeff * math.sin(phi / 2.0)
+    return {
+        "kind": kind.tag,
+        "phi_deg": math.degrees(phi),
+        "value": value,
+        "bound": kind.bound,
+        "pair_terms": pair_terms,
+        "violated": value > kind.bound,
+    }
+
+
+def run_one(state, config, shots, seed, readout=None, correct=False, step=0):
+    """The block of one experiment of ``config`` at its own phi, at ``step``."""
+    return run_experiments(state, config, [config.phi], shots, seed, readout, correct, step)

@@ -9,8 +9,9 @@ import math
 import numpy as np
 import pytest
 
+from conftest import run_one
 from leggettsim.cli import main
-from leggettsim.expsim import ReadoutModel, apply_confusion, correct_readout, run_experiment
+from leggettsim.expsim import ReadoutModel, apply_confusion, correct_readout
 from leggettsim.geometry import (
     _TETRA,
     X,
@@ -117,9 +118,9 @@ def test_criterion_7_sampled_consistency():
     config = adapt_to_state(correlation_tensor(state), canonical_i26(phi))
     values, sigmas = [], []
     for seed in range(50):
-        result = run_experiment(state, config, 10**5, seed=seed)
-        values.append(result.raw.value)
-        sigmas.append(result.sigma_raw)
+        result = run_one(state, config, 10**5, seed=seed)
+        values.append(result.raw.value[0])
+        sigmas.append(result.raw.sigma[0])
     mean = float(np.mean(values))
     se = float(np.std(values, ddof=1)) / math.sqrt(len(values))
     spread = float(np.std(values, ddof=1))

@@ -8,9 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from conftest import run_one
 from leggettsim import cli, expsim, oracle
 from leggettsim.cli import build_parser, main
-from leggettsim.expsim import ReadoutModel, run_experiment
+from leggettsim.expsim import ReadoutModel
 from leggettsim.geometry import adapt_to_state, canonical_i26, canonical_i28
 from leggettsim.qstate import correlation_tensor, werner
 
@@ -321,14 +322,12 @@ class TestSweep:
         readout = ReadoutModel.from_fidelities(0.97, 0.95, 0.96, 1.0)
         counts = set()
         for i, row in enumerate(rows):
-            result = run_experiment(
-                state, config, 2000, seed=11, readout=readout, correct=True, step=i
-            )
-            assert float(row["I_raw"]) == result.raw.value
-            assert float(row["sigma_raw"]) == result.sigma_raw
-            assert float(row["I_corrected"]) == result.corrected.value
-            assert float(row["sigma_corrected"]) == result.sigma_corrected
-            counts.add(tuple(int(c) for rec in result.settings for c in rec.counts))
+            result = run_one(state, config, 2000, seed=11, readout=readout, correct=True, step=i)
+            assert float(row["I_raw"]) == result.raw.value[0]
+            assert float(row["sigma_raw"]) == result.raw.sigma[0]
+            assert float(row["I_corrected"]) == result.corrected.value[0]
+            assert float(row["sigma_corrected"]) == result.corrected.sigma[0]
+            counts.add(result.counts.tobytes())
         assert len(counts) == 3
 
     def test_bad_phi_range(self, capsys):
@@ -410,9 +409,9 @@ class TestSweepBlocks:
         calls = []
         run_experiments = expsim.run_experiments
 
-        def counting(state, configs, *args, **kwargs):
-            calls.append(len(configs))
-            return run_experiments(state, configs, *args, **kwargs)
+        def counting(state, config, phis, *args, **kwargs):
+            calls.append(len(phis))
+            return run_experiments(state, config, phis, *args, **kwargs)
 
         monkeypatch.setattr(expsim, "run_experiments", counting)
         outputs = set()
@@ -432,15 +431,13 @@ class TestSweepBlocks:
         readout = ReadoutModel.from_fidelities(0.97, 0.95, 0.96, 1.0)
         for k, row in enumerate(rows):
             config = adapt_to_state(state.tensor, canonical_i28(math.radians(float(row["phi_deg"]))))
-            result = run_experiment(
-                state, config, 300, seed=5, readout=readout, correct=True, step=k
-            )
-            assert float(row["I_raw"]) == result.raw.value
-            assert float(row["sigma_raw"]) == result.sigma_raw
-            assert float(row["I_corrected"]) == result.corrected.value
-            assert float(row["sigma_corrected"]) == result.sigma_corrected
-            assert float(row["sigmas_violation_raw"]) == result.sigmas_violation_raw
-            assert float(row["sigmas_violation_corrected"]) == result.sigmas_violation_corrected
+            result = run_one(state, config, 300, seed=5, readout=readout, correct=True, step=k)
+            assert float(row["I_raw"]) == result.raw.value[0]
+            assert float(row["sigma_raw"]) == result.raw.sigma[0]
+            assert float(row["I_corrected"]) == result.corrected.value[0]
+            assert float(row["sigma_corrected"]) == result.corrected.sigma[0]
+            assert float(row["sigmas_violation_raw"]) == result.raw.sigmas_violation[0]
+            assert float(row["sigmas_violation_corrected"]) == result.corrected.sigmas_violation[0]
 
 
 class TestVerify:
@@ -594,25 +591,22 @@ class TestExperimentConfigs:
     @pytest.mark.parametrize("tag", ["i26", "i28"])
     @pytest.mark.parametrize("bell, visibility", [("phi_minus", 0.98), ("psi_minus", 0.6)])
     def test_equal_replaced_canonical(self, monkeypatch, tag, bell, visibility):
-        seen = []
-
-        def capture(state, configs, **kwargs):
-            seen.extend(configs)
-
-        monkeypatch.setattr(expsim, "run_experiments", capture)
         config = cli.RunConfig(inequality=tag, bell=bell, visibility=visibility, shots=10)
         phis = [math.radians(deg) for deg in (0.0, 12.5, 36.87, 90.0, 180.0)]
-        cli._experiment(config)(phis, 0)
+        block = cli._experiment(config)(phis)
         # the reference: the canonical configuration rebuilt at each phi, with
         # the Alice vectors adapted once
         canonical = {"i26": canonical_i26, "i28": canonical_i28}[tag]
         state = werner(visibility, bell)
         alice = adapt_to_state(correlation_tensor(state), canonical(0.0)).alice
-        assert len(seen) == len(phis)
-        for phi, got in zip(phis, seen):
+        assert block.phis.tolist() == phis
+        assert len(block.settings) == len(phis)
+        for k, phi in enumerate(phis):
             expected = dataclasses.replace(canonical(phi), alice=alice)
+            got = dataclasses.replace(block.config, phi=float(block.phis[k]))
             assert got.kind is expected.kind and got.pairing == expected.pairing
             assert got.phi == expected.phi == phi
             for name in ("alice", "u", "e_hat", "pairs"):
                 a, b = getattr(got, name), getattr(expected, name)
                 assert a.shape == b.shape and a.tobytes() == b.tobytes()
+            assert block.settings[k].tobytes() == expected.pairs.tobytes()

@@ -5,22 +5,21 @@ import math
 import numpy as np
 import pytest
 
+from conftest import evaluate, run_one
 from leggettsim.expsim import (
     ConditioningError,
-    ExperimentResult,
     ReadoutModel,
-    SettingRecord,
+    _estimates,
     _pcg64_state,
     _seed_words,
     apply_confusion,
     correct_readout,
     estimate_correlation,
-    run_experiment,
     run_experiments,
 )
-from leggettsim.geometry import SettingsConfig, adapt_to_state, canonical_i26
+from leggettsim.geometry import SettingsConfig, adapt_to_state, canonical_i26, canonical_i28
+from leggettsim.inequalities import I26, I28, quantum_value, sigma_violation
 from leggettsim.oracle import verify_bound
-from leggettsim.inequalities import I26, I28, evaluate, quantum_value, sigma_violation
 from leggettsim.qstate import (
     TwoQubitState,
     bell_state,
@@ -79,6 +78,8 @@ class TestValueTypes:
             lambda: werner(0.9).tensor,
             lambda: ReadoutModel.from_fidelities(0.97, 0.95, 0.96, 0.94),
             lambda: verify_bound(canonical_i26(0.5), 50),
+            lambda: run_experiments(werner(0.9), canonical_i26(0.5), [0.5], 10, 0, correct=True),
+            lambda: run_one(werner(0.9), canonical_i26(0.5), 10, 0, correct=True).raw,
         ],
     )
     def test_identity_equality(self, build):
@@ -165,13 +166,12 @@ class TestCorrectReadout:
             assert np.allclose(recovered, p, atol=1e-10)
 
 
-def sampled_counts(state, shots, seed, **kwargs):
+def sampled_counts(state, shots, seed, step=0):
     """Counts of every setting of the unadapted six-setting configuration.
 
     At phi = 0 settings 0-3 measure (Z, Z) and settings 4-5 (X, X).
     """
-    result = run_experiment(state, canonical_i26(0.0), shots, seed=seed, **kwargs)
-    return np.array([rec.counts for rec in result.settings])
+    return run_one(state, canonical_i26(0.0), shots, seed, step=step).counts[0]
 
 
 class TestSampling:
@@ -301,15 +301,17 @@ class TestSeeding:
     def test_block_counts_equal_reference(self, shots):
         rng = np.random.default_rng(100 + shots)
         state, readout = random_state(rng), random_readout(rng)
-        configs = [random_config(rng, (I26, I28)[j % 2]) for j in range(5)]
-        for seed, first_step in [(0, 0), (2**32 - 1, 2**32 - 5), (12345, 678)]:
-            got = run_experiments(state, configs, shots, seed, readout, first_step=first_step)
-            for j, (config, result) in enumerate(zip(configs, got)):
-                ref = reference_experiment(
-                    state, config, shots, seed, readout, False, first_step + j
-                )
-                for a, b in zip(result.settings, ref.settings):
-                    assert np.array_equal(a.counts, b.counts)
+        for kind in (I26, I28):
+            config = random_config(rng, kind)
+            phis = rng.uniform(0.0, math.pi, size=5).tolist()
+            for seed, first_step in [(0, 0), (2**32 - 1, 2**32 - 5), (12345, 678)]:
+                got = run_experiments(state, config, phis, shots, seed, readout, first_step=first_step)
+                for k, phi in enumerate(phis):
+                    ref = reference_experiment(
+                        state, dataclasses.replace(config, phi=phi), shots, seed, readout,
+                        False, first_step + k,
+                    )
+                    assert got.counts[k].tolist() == [s["counts"] for s in ref["settings"]]
 
 
 class TestEstimateCorrelation:
@@ -335,40 +337,39 @@ class TestEstimateCorrelation:
 class TestRunExperiment:
     def test_ideal_state_consistency(self):
         state = bell_state("phi_minus")
-        result = run_experiment(state, adapted_config(state), 10**5, seed=21)
+        result = run_one(state, adapted_config(state), 10**5, seed=21)
         target = quantum_value(I26, PHI, 1.0)
-        assert abs(result.raw.value - target) < 4 * result.sigma_raw
+        assert abs(result.raw.value[0] - target) < 4 * result.raw.sigma[0]
 
     def test_werner_consistency(self):
         state = werner(0.9)
-        result = run_experiment(state, adapted_config(state), 10**5, seed=22)
+        result = run_one(state, adapted_config(state), 10**5, seed=22)
         target = quantum_value(I26, PHI, 0.9)
-        assert abs(result.raw.value - target) < 4 * result.sigma_raw
+        assert abs(result.raw.value[0] - target) < 4 * result.raw.sigma[0]
 
     def test_large_shot_limit(self):
         state = bell_state("phi_minus")
-        result = run_experiment(state, adapted_config(state), 10**7, seed=23)
-        assert abs(result.raw.value - quantum_value(I26, PHI, 1.0)) <= 5e-3
+        result = run_one(state, adapted_config(state), 10**7, seed=23)
+        assert abs(result.raw.value[0] - quantum_value(I26, PHI, 1.0)) <= 5e-3
 
     def test_determinism(self):
         state = werner(0.95)
         config = adapted_config(state)
         model = ReadoutModel.from_fidelities(0.97, 0.95, 0.96, 0.94)
-        a = run_experiment(state, config, 10**4, seed=5, readout=model, correct=True)
-        b = run_experiment(state, config, 10**4, seed=5, readout=model, correct=True)
-        assert a.raw.value == b.raw.value
-        assert a.corrected.value == b.corrected.value
-        for ra, rb in zip(a.settings, b.settings):
-            assert np.array_equal(ra.counts, rb.counts)
+        a = run_one(state, config, 10**4, seed=5, readout=model, correct=True)
+        b = run_one(state, config, 10**4, seed=5, readout=model, correct=True)
+        assert a.raw.value[0] == b.raw.value[0]
+        assert a.corrected.value[0] == b.corrected.value[0]
+        assert np.array_equal(a.counts, b.counts)
 
     def test_estimator_consistency(self):
         state = bell_state("phi_minus")
         config = adapted_config(state)
         values, sigmas = [], []
         for seed in range(200):
-            result = run_experiment(state, config, 10**4, seed=seed)
-            values.append(result.raw.value)
-            sigmas.append(result.sigma_raw)
+            result = run_one(state, config, 10**4, seed=seed)
+            values.append(result.raw.value[0])
+            sigmas.append(result.raw.sigma[0])
         empirical = float(np.std(values, ddof=1))
         propagated = float(np.mean(sigmas))
         assert abs(empirical - propagated) / propagated < 0.20
@@ -377,14 +378,12 @@ class TestRunExperiment:
         state = bell_state("phi_minus")
         config = adapted_config(state)
         model = ReadoutModel.from_fidelities(0.95, 0.92, 0.96, 0.93)
-        result = run_experiment(
-            state, config, 10**6, seed=17, readout=model, correct=True
-        )
-        for rec in result.settings:
-            p_ideal = joint_probabilities(state, rec.n, rec.m)
+        result = run_one(state, config, 10**6, seed=17, readout=model, correct=True)
+        for i, (_, _, n, m) in enumerate(reference_settings(config)):
+            p_ideal = joint_probabilities(state, n, m)
             ideal = float(p_ideal[0] - p_ideal[1] - p_ideal[2] + p_ideal[3])
-            combined = math.hypot(rec.sigma_raw, rec.sigma_corrected)
-            assert abs(rec.c_corrected - ideal) < 4 * max(combined, 1e-6)
+            combined = math.hypot(result.raw.c_sigma[0, i], result.corrected.c_sigma[0, i])
+            assert abs(result.corrected.c[0, i] - ideal) < 4 * max(combined, 1e-6)
 
     def test_symmetric_confusion_shrinks_raw(self):
         state = bell_state("phi_minus")
@@ -392,35 +391,29 @@ class TestRunExperiment:
         model = ReadoutModel.from_fidelities(0.95, 0.95, 0.95, 0.95)
         raw_mean = corr_mean = 0.0
         for seed in range(100):
-            result = run_experiment(
-                state, config, 2000, seed=seed, readout=model, correct=True
-            )
-            raw_mean += np.mean([abs(r.c_raw) for r in result.settings])
-            corr_mean += np.mean([abs(r.c_corrected) for r in result.settings])
+            result = run_one(state, config, 2000, seed=seed, readout=model, correct=True)
+            raw_mean += np.mean(np.abs(result.raw.c))
+            corr_mean += np.mean(np.abs(result.corrected.c))
         assert raw_mean < corr_mean
 
     def test_json_and_csv_export(self):
         state = werner(0.9)
-        result = run_experiment(state, adapted_config(state), 1000, seed=2)
-        data = result.to_json_dict()
+        result = run_one(state, adapted_config(state), 1000, seed=2)
+        data = result.to_json_dict(0)
         assert data["kind"] == "i26" and len(data["settings"]) == 6
 
     def test_ill_conditioned_model_without_correction(self):
         state = werner(0.9)
         model = ReadoutModel.from_fidelities(0.5, 0.5, 0.5, 0.5)
-        result = run_experiment(
-            state, adapted_config(state), 1000, seed=3, readout=model
-        )
+        result = run_one(state, adapted_config(state), 1000, seed=3, readout=model)
         assert result.corrected is None
-        assert len(result.settings) == 6
+        assert result.counts.shape == (1, 6, 4)
 
     def test_ill_conditioned_model_with_correction(self):
         state = werner(0.9)
         model = ReadoutModel.from_fidelities(0.5, 0.5, 0.5, 0.5)
         with pytest.raises(ConditioningError):
-            run_experiment(
-                state, adapted_config(state), 1000, seed=3, readout=model, correct=True
-            )
+            run_one(state, adapted_config(state), 1000, seed=3, readout=model, correct=True)
 
     def test_condition_checked_once_per_model(self, monkeypatch):
         calls = []
@@ -434,9 +427,7 @@ class TestRunExperiment:
         state = werner(0.9)
         model = ReadoutModel.from_fidelities(0.97, 0.95, 0.96, 0.94)
         for seed in range(3):
-            run_experiment(
-                state, adapted_config(state), 1000, seed=seed, readout=model, correct=True
-            )
+            run_one(state, adapted_config(state), 1000, seed=seed, readout=model, correct=True)
         assert len(calls) == 1
 
     @pytest.mark.parametrize(
@@ -459,35 +450,34 @@ class TestRunExperiment:
         values = {"raw": [], "corrected": []}
         sigmas = {"raw": [], "corrected": []}
         for seed in range(200):
-            result = run_experiment(state, config, 20000, seed, model, correct=True)
-            assert result.clip_events == 0
-            values["raw"].append(result.raw.value)
-            sigmas["raw"].append(result.sigma_raw)
-            values["corrected"].append(result.corrected.value)
-            sigmas["corrected"].append(result.sigma_corrected)
+            result = run_one(state, config, 20000, seed, model, correct=True)
+            assert result.clip_events[0] == 0
+            for name in values:
+                values[name].append(getattr(result, name).value[0])
+                sigmas[name].append(getattr(result, name).sigma[0])
         for name in values:
             ratio = float(np.std(values[name], ddof=1) / np.mean(sigmas[name]))
             assert 0.85 <= ratio <= 1.15, (name, ratio)
 
     def test_corrected_sigma_with_identity_model_is_binomial(self):
         state = werner(0.9)
-        result = run_experiment(state, adapted_config(state), 1000, seed=6, correct=True)
-        for rec in result.settings:
-            assert rec.c_corrected == pytest.approx(rec.c_raw, abs=1e-15)
-            assert rec.sigma_corrected == pytest.approx(rec.sigma_raw, rel=1e-12)
+        result = run_one(state, adapted_config(state), 1000, seed=6, correct=True)
+        assert result.corrected.c == pytest.approx(result.raw.c, abs=1e-15)
+        assert result.corrected.c_sigma == pytest.approx(result.raw.c_sigma, rel=1e-12)
 
     def test_wrong_pair_count(self):
         # three pairs tagged with the four-pair inequality
         state = werner(0.9)
         config = dataclasses.replace(adapted_config(state), kind=I28)
         with pytest.raises(ValueError, match="i28 needs 4 correlation pairs, got 3"):
-            run_experiment(state, config, 100, seed=0)
+            run_one(state, config, 100, seed=0)
 
 
-# --- the per-setting loop the stacked run_experiment replaced -------------
+# --- the per-setting loop the stacked sampler replaced -------------------
 #
 # Kept as the bit-level reference: one setting at a time, with the
-# one-setting helper bodies written out as they were.
+# one-setting helper bodies written out as they were, and every sum added
+# left to right.
 
 
 def reference_joint_probabilities(state, n, m):
@@ -537,8 +527,9 @@ def reference_settings(config):
 
 
 def reference_experiment(state, config, shots, seed, readout, correct, step):
+    """One experiment, one setting at a time, as ``simulate`` writes it."""
     kind = config.kind
-    records = []
+    settings = []
     clip_events = 0
     for setting_id, alice_idx, n, m in reference_settings(config):
         p_phys = readout.joint() @ reference_joint_probabilities(state, n, m)
@@ -553,29 +544,47 @@ def reference_experiment(state, config, shots, seed, readout, correct, step):
             clip_events += int(clipped)
             c_corr = float(p_corr[0] + p_corr[3] - p_corr[1] - p_corr[2])
             sigma_corr = reference_corrected_sigma(readout, counts / shots, shots)
-        records.append(
-            SettingRecord(setting_id, alice_idx, n, m, counts, c_raw, sigma_raw, c_corr, sigma_corr)
+        settings.append(
+            {
+                "setting_id": setting_id,
+                "alice_index": alice_idx,
+                "n": list(n),
+                "m": list(m),
+                "counts": [int(c) for c in counts],
+                "c_raw": c_raw,
+                "sigma_raw": sigma_raw,
+                "c_corrected": c_corr,
+                "sigma_corrected": sigma_corr,
+            }
         )
 
-    def assemble(values, sigmas):
-        pairs = [(values[2 * i], values[2 * i + 1]) for i in range(kind.num_pairs)]
-        ineq = evaluate(kind, config.phi, pairs)
-        sigma = math.sqrt(sum(s * s for s in sigmas))
+    def assemble(dataset):
+        values = [s[f"c_{dataset}"] for s in settings]
+        ineq = evaluate(kind, config.phi, list(zip(values[::2], values[1::2])))
+        variance = 0.0
+        for s in settings:
+            variance += s[f"sigma_{dataset}"] * s[f"sigma_{dataset}"]
+        sigma = math.sqrt(variance)
         if sigma == 0.0:
-            excess = ineq.value - kind.bound
+            excess = ineq["value"] - kind.bound
             nsig = math.inf if excess > 0 else (-math.inf if excess < 0 else 0.0)
             return ineq, sigma, nsig
-        return ineq, sigma, sigma_violation(ineq.value, sigma, kind)
+        return ineq, sigma, sigma_violation(ineq["value"], sigma, kind)
 
-    raw = assemble([r.c_raw for r in records], [r.sigma_raw for r in records])
-    corrected = (None, None, None)
+    out = {
+        "kind": kind.tag,
+        "phi_deg": math.degrees(config.phi),
+        "shots_per_setting": shots,
+        "seed": seed,
+        "settings": settings,
+    }
+    out["raw"], out["sigma_raw"], out["sigmas_violation_raw"] = assemble("raw")
+    out["clip_events"] = clip_events
     if correct:
-        corrected = assemble(
-            [r.c_corrected for r in records], [r.sigma_corrected for r in records]
-        )
-    return ExperimentResult(
-        config, shots, seed, tuple(records), *raw, *corrected, clip_events
-    )
+        corrected = assemble("corrected")
+        out["corrected"], out["sigma_corrected"], out["sigmas_violation_corrected"] = corrected
+    out["config"] = config.to_json_dict()
+    return out
 
 
 def random_unit(rng):
@@ -621,12 +630,12 @@ class TestStackedMatchesReference:
             for correct in (False, True):
                 args = (state, config, shots, seed, readout, correct, step)
                 ref = reference_experiment(*args)
-                got = run_experiment(*args)
-                for a, b in zip(got.settings, ref.settings):
-                    assert np.array_equal(a.counts, b.counts)
-                assert got.to_json_dict() == ref.to_json_dict()
-                assert got.clip_events == ref.clip_events
-                total_clips += got.clip_events
+                got = run_one(*args)
+                assert got.counts[0].tolist() == [s["counts"] for s in ref["settings"]]
+                data = got.to_json_dict(0)
+                assert data == ref and list(data) == list(ref)
+                assert type(data["clip_events"]) is int
+                total_clips += data["clip_events"]
         assert total_clips > 0
 
     def test_stacked_rows_equal_single_calls(self):
@@ -665,50 +674,56 @@ class TestStackedMatchesReference:
         uneven_clips = False
         for trial in range(16):
             state, readout = random_state(rng), random_readout(rng)
-            kinds = rng.integers(0, 2, size=int(rng.integers(1, 9)))
-            configs = [random_config(rng, (I26, I28)[int(k)]) for k in kinds]
+            config = random_config(rng, (I26, I28)[trial % 2])
+            phis = rng.uniform(0.0, math.pi, size=int(rng.integers(1, 9))).tolist()
             # few shots, so that correction clips
             shots = int(rng.integers(1, 60))
             seed = int(rng.integers(0, 2**32))
-            first_step = int(rng.integers(0, 2**32 - len(configs) + 1))
+            first_step = int(rng.integers(0, 2**32 - len(phis) + 1))
             for correct in (False, True):
-                got = run_experiments(
-                    state, configs, shots, seed, readout, correct, first_step
-                )
-                assert len(got) == len(configs)
-                for j, (config, result) in enumerate(zip(configs, got)):
+                got = run_experiments(state, config, phis, shots, seed, readout, correct, first_step)
+                assert got.counts.shape == (len(phis), 2 * len(config.pairs), 4)
+                for k, phi in enumerate(phis):
                     ref = reference_experiment(
-                        state, config, shots, seed, readout, correct, first_step + j
+                        state, dataclasses.replace(config, phi=phi), shots, seed, readout,
+                        correct, first_step + k,
                     )
-                    for a, b in zip(result.settings, ref.settings):
-                        assert np.array_equal(a.counts, b.counts)
-                    assert result.to_json_dict() == ref.to_json_dict()
-                    # each result counts its own settings' clips only
-                    assert result.clip_events == ref.clip_events
-                    assert type(result.clip_events) is int
-                    total_clips += result.clip_events
-                uneven_clips |= len({result.clip_events for result in got}) > 1
+                    assert got.counts[k].tolist() == [s["counts"] for s in ref["settings"]]
+                    # each experiment counts its own settings' clips only
+                    assert got.to_json_dict(k) == ref
+                    total_clips += ref["clip_events"]
+                uneven_clips |= len(set(got.clip_events.tolist())) > 1
         assert total_clips > 0 and uneven_clips
 
-    def test_block_of_one_is_run_experiment(self):
+    def test_experiments_equal_blocks_of_one(self):
         state = werner(0.9)
         config = adapted_config(state)
         readout = ReadoutModel.from_fidelities(0.97, 0.95, 0.96, 0.94)
-        (block,) = run_experiments(state, [config], 500, 3, readout, True, first_step=9)
-        single = run_experiment(state, config, 500, 3, readout, True, step=9)
-        assert block.to_json_dict() == single.to_json_dict()
+        phis = [0.0, PHI, 1.0, math.pi]
+        block = run_experiments(state, config, phis, 500, 3, readout, True, first_step=9)
+        for k, phi in enumerate(phis):
+            single = run_experiments(state, config, [phi], 500, 3, readout, True, first_step=9 + k)
+            assert block.to_json_dict(k) == single.to_json_dict(0)
 
     def test_empty_block(self):
-        with pytest.raises(ValueError, match="at least one configuration"):
-            run_experiments(werner(0.5), [], 10, seed=0)
+        with pytest.raises(ValueError, match="at least one phi"):
+            run_experiments(werner(0.5), canonical_i26(0.0), [], 10, seed=0)
 
     @pytest.mark.parametrize("size", [1, 3])
     def test_last_step_in_range(self, size):
         state = werner(0.5)
-        configs = [adapted_config(state)] * size
-        assert len(run_experiments(state, configs, 10, 0, first_step=2**32 - size)) == size
+        config, phis = adapted_config(state), [PHI] * size
+        block = run_experiments(state, config, phis, 10, 0, first_step=2**32 - size)
+        assert block.counts.shape == (size, 6, 4)
         with pytest.raises(ValueError, match="step must lie in"):
-            run_experiments(state, configs, 10, 0, first_step=2**32 - size + 1)
+            run_experiments(state, config, phis, 10, 0, first_step=2**32 - size + 1)
+
+    @pytest.mark.parametrize("phi", [-1e-12, -0.1, math.pi + 1e-12, 4.0, math.nan, math.inf])
+    def test_phi_out_of_range(self, phi):
+        # a bad angle anywhere in the block is rejected before any draw
+        state = werner(0.5)
+        with pytest.raises(ValueError, match=r"phi must lie in \[0, pi\]"):
+            run_experiments(state, adapted_config(state), [0.5, phi], 10, 0)
 
     def test_single_call_shapes(self):
         state, readout = random_state(np.random.default_rng(3)), ReadoutModel.identity()
@@ -720,24 +735,66 @@ class TestStackedMatchesReference:
 
     def test_counts_read_only(self):
         state = werner(0.9)
-        result = run_experiment(state, adapted_config(state), 100, seed=1, correct=True)
-        for rec in result.settings:
-            assert not rec.counts.flags.writeable
+        block = run_one(state, adapted_config(state), 100, seed=1, correct=True)
+        arrays = [block.phis, block.settings, block.counts, block.clip_events]
+        for estimates in (block.raw, block.corrected):
+            arrays += [getattr(estimates, f.name) for f in dataclasses.fields(estimates)]
+        for x in arrays:
+            assert not x.flags.writeable
             with pytest.raises(ValueError):
-                rec.counts[0] += 1
+                x[0] += 1
 
-    def test_records_are_plain_tuples(self):
+    def test_settings_equal_reference(self):
         state = werner(0.9)
-        config = adapted_config(state)
-        result = run_experiment(state, config, 100, seed=1, correct=True)
-        assert SettingRecord._fields == (
-            "setting_id", "alice_index", "n", "m", "counts",
-            "c_raw", "sigma_raw", "c_corrected", "sigma_corrected",
-        )
-        records = zip(result.settings, reference_settings(config), strict=True)
-        for rec, (setting_id, alice_idx, n, m) in records:
-            assert isinstance(rec, tuple) and len(rec) == 9
-            assert rec[:2] == (setting_id, alice_idx)
-            assert rec.n.tobytes() == n.tobytes() and rec.m.tobytes() == m.tobytes()
-            assert not (rec.n.flags.writeable or rec.m.flags.writeable)
-        assert SettingRecord(0, 0, None, None, None, 1.0, 0.1)[7:] == (None, None)
+        rng = np.random.default_rng(8)
+        for config in (adapted_config(state), canonical_i28(0.4), random_config(rng, I28)):
+            phis = [0.0, 0.3, math.pi]
+            block = run_experiments(state, config, phis, 100, 1, correct=True)
+            assert block.settings.shape == (3, len(config.pairs), 2, 3)
+            for k, phi in enumerate(phis):
+                moved = dataclasses.replace(config, phi=phi)
+                rows = block.settings[k].reshape(-1, 3)
+                data = block.to_json_dict(k)["settings"]
+                for i, (setting_id, alice_idx, n, m) in enumerate(reference_settings(moved)):
+                    assert rows[i].tobytes() == m.tobytes()
+                    assert (data[i]["setting_id"], data[i]["alice_index"]) == (setting_id, alice_idx)
+                    assert data[i]["n"] == n.tolist() and data[i]["m"] == m.tolist()
+
+
+class TestEstimates:
+    """Pair terms, values and sigmas of a block against the scalar reference."""
+
+    def test_random_correlations_equal_reference(self):
+        rng = np.random.default_rng(19)
+        for kind in (I26, I28):
+            phis = rng.uniform(0.0, math.pi, size=50).tolist()
+            sines = np.array([kind.sine_coeff * math.sin(phi / 2.0) for phi in phis])
+            c = rng.uniform(-1.0, 1.0, size=(50, 2 * kind.num_pairs))
+            c_sigma = rng.uniform(0.0, 0.1, size=c.shape)
+            got = _estimates(kind, sines, c.ravel(), c_sigma.ravel())
+            for k, phi in enumerate(phis):
+                ref = evaluate(kind, phi, list(zip(c[k, ::2], c[k, 1::2])))
+                assert got.pair_terms[k].tolist() == ref["pair_terms"]
+                assert got.value[k] == ref["value"]
+                variance = 0.0
+                for s in c_sigma[k].tolist():
+                    variance += s * s
+                assert got.sigma[k] == math.sqrt(variance)
+                nsig = sigma_violation(ref["value"], math.sqrt(variance), kind)
+                assert got.sigmas_violation[k] == nsig
+
+    @pytest.mark.parametrize("bad", [1.0 + 2e-9, -1.5, math.nan])
+    def test_out_of_range_correlation(self, bad):
+        c = np.zeros(6)
+        c[4] = bad
+        with pytest.raises(ValueError, match=r"correlations must lie in \[-1, 1\]"):
+            _estimates(I26, np.zeros(1), c, np.full(6, 0.1))
+
+    def test_zero_sigma(self):
+        # above, below and at the bound, without a division warning
+        c = np.array([[1.0] * 6, [0.0] * 6, [1.0] * 6])
+        sines = np.array([0.5, 0.5, 0.0])
+        got = _estimates(I26, sines, c.ravel(), np.zeros(18))
+        assert got.value.tolist() == [6.5, 0.5, 6.0]
+        assert got.sigma.tolist() == [0.0, 0.0, 0.0]
+        assert got.sigmas_violation.tolist() == [math.inf, -math.inf, 0.0]

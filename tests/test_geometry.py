@@ -22,6 +22,7 @@ from leggettsim.geometry import (
     canonical_i28,
     fibonacci_sphere,
     geometric_factor,
+    pair_stacks,
 )
 from leggettsim.inequalities import KINDS
 from leggettsim.qstate import CorrelationTensor, correlation_tensor, werner
@@ -415,16 +416,21 @@ def reference_pairs(config):
 
 
 class TestAt:
+    """``pair_stacks``: a configuration's pairs at other angles."""
+
     @pytest.mark.parametrize("tag", ["i26", "i28"])
     def test_random_configs_equal_make_pair(self, tag):
-        # at(phi) skips the constructor's checks, but not one bit of its arrays
+        # each row is the pairs of the configuration built at its phi, bit for bit
         rng = np.random.default_rng(150)
         for _ in range(40):
             config = random_config(rng, KINDS[tag], rng.uniform(0.0, math.pi))
-            for phi in (*rng.uniform(0.0, math.pi, size=5), 0.0, math.pi):
-                moved = config.at(phi)
-                assert_same_config(moved, dataclasses.replace(config, phi=phi))
-                for (m, m_prime), (ref, ref_prime) in zip(moved.pairs, reference_pairs(moved)):
+            phis = [*rng.uniform(0.0, math.pi, size=5), 0.0, math.pi]
+            stacks = pair_stacks(config.u, config.e_hat, phis)
+            assert stacks.shape == (len(phis), len(config.pairs), 2, 3)
+            for phi, pairs in zip(phis, stacks):
+                built = dataclasses.replace(config, phi=phi)
+                assert pairs.tobytes() == built.pairs.tobytes()
+                for (m, m_prime), (ref, ref_prime) in zip(pairs, reference_pairs(built)):
                     assert m.tobytes() == ref.tobytes()
                     assert m_prime.tobytes() == ref_prime.tobytes()
 
@@ -432,28 +438,34 @@ class TestAt:
     @given(st.floats(0, math.pi), st.floats(0, math.pi))
     @settings(max_examples=40)
     def test_canonical_equals_build_at_phi(self, build, phi0, phi):
-        assert_same_config(build(phi0).at(phi), build(phi))
+        config = build(phi0)
+        (pairs,) = pair_stacks(config.u, config.e_hat, [phi])
+        assert pairs.tobytes() == build(phi).pairs.tobytes()
 
     def test_adapted_keeps_alice(self):
+        # the canonical bisectors do not depend on phi, so a sweep adapts once
         tensor = correlation_tensor(werner(0.9))
         for build in CANONICAL.values():
             template = adapt_to_state(tensor, build(0.0))
-            config = template.at(0.7)
-            assert config.alice is template.alice
-            assert_same_config(config, dataclasses.replace(build(0.7), alice=template.alice))
+            for phi in (0.7, math.pi):
+                adapted = adapt_to_state(tensor, build(phi))
+                assert adapted.alice.tobytes() == template.alice.tobytes()
+                (pairs,) = pair_stacks(template.u, template.e_hat, [phi])
+                assert pairs.tobytes() == adapted.pairs.tobytes()
 
     def test_leaves_self_unchanged(self):
         config = canonical_i28(0.3)
         before = config.pairs.tobytes()
-        moved = config.at(1.2)
-        assert config.phi == 0.3 and moved.phi == 1.2
+        moved = pair_stacks(config.u, config.e_hat, [1.2])
+        assert config.phi == 0.3 and moved.tobytes() != before
         assert config.pairs.tobytes() == before
 
     @pytest.mark.parametrize("phi", [-1e-12, -0.1, math.pi + 1e-12, 4.0, math.nan, math.inf])
     def test_phi_out_of_range(self, phi):
         for build in CANONICAL.values():
+            config = build(0.5)
             with pytest.raises(ValueError, match=r"phi must lie in \[0, pi\]"):
-                build(0.5).at(phi)
+                pair_stacks(config.u, config.e_hat, [0.5, phi])
 
 
 def config_arrays(config):
@@ -469,7 +481,7 @@ class TestReadOnly:
         for build in CANONICAL.values():
             config = build(0.5)
             yield config
-            yield config.at(1.0)
+            yield dataclasses.replace(config, phi=1.0)
             yield adapt_to_state(tensor, config)
             yield SettingsConfig.from_json_dict(config.to_json_dict())
 
@@ -477,6 +489,8 @@ class TestReadOnly:
         for config in self.configs():
             for v in config_arrays(config):
                 assert v.dtype == float and not v.flags.writeable
+            stacks = pair_stacks(config.u, config.e_hat, [0.0, 1.0])
+            assert not (stacks.flags.writeable or stacks[1, 0].flags.writeable)
 
     def test_write_raises_and_constants_kept(self):
         constants = [v.copy() for v in (X, Y, Z, _TETRA)]
