@@ -118,11 +118,8 @@ class ReadoutModel:
 
     @cached_property
     def _gain(self) -> np.ndarray:
-        """g = R^-T (1, -1, -1, 1), computed on first use.
-
-        Before clipping, the corrected correlation of reported frequencies f
-        is g . f.
-        """
+        """g = R^-T (1, -1, -1, 1), computed on first use: before clipping,
+        the corrected correlation of reported frequencies f is g . f."""
         return _frozen(np.linalg.solve(self._joint.T, _ALPHA_BETA))
 
 
@@ -289,11 +286,11 @@ class ExperimentBlock:
 
     Experiment k ran ``config`` at ``phis[k]``, with the streams of step
     ``first_step + k`` of its ``run_experiments`` call; the phi of
-    ``config`` itself is not used.
-    ``settings`` is (K, P, 2, 3), each pair's (m, m'), and ``counts`` is
-    (K, 2P, 4), in setting order.  ``clip_events`` (K,) counts the settings
-    of each experiment whose correction clipped; ``corrected`` is None
-    unless the block was corrected.
+    ``config`` itself is not used.  ``settings`` is (K, P, 2, 3), each
+    pair's (m, m'), and ``counts`` is (K, 2P, 4), in setting order.
+    ``clip_events`` (K,) counts the settings of each experiment whose
+    correction clipped; ``corrected`` is None unless the block was
+    corrected.
     """
 
     config: SettingsConfig
