@@ -414,8 +414,11 @@ def cmd_simulate(args) -> int:
     if config.shots < 1:
         raise UsageError("shots: simulate requires shots >= 1")
     _check_phi_deg(args.phi)
-    block = _experiment(config)([math.radians(args.phi)])
-    _write_text(json.dumps(block.to_json_dict(0), indent=2) + "\n", config.out)
+    data = _experiment(config)([math.radians(args.phi)]).to_json_dict(0)
+    # the degrees given, as sweep writes them, not their round trip through radians
+    for part in (data, data["raw"], data.get("corrected", {}), data["config"]):
+        part["phi_deg"] = args.phi
+    _write_text(json.dumps(data, indent=2) + "\n", config.out)
     return 0
 
 

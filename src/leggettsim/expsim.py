@@ -3,10 +3,13 @@
 Sampling uses numpy's PCG64 generator.  ``run_experiments`` is the only
 sampler; it runs one configuration at a block of K angles, experiment k at
 step ``first_step + k``, and ``simulate`` is a block of one.  Its one
-seeding rule is SeedSequence([seed, setting_index, step]), with
-``simulate`` as step 0.  Seeds and steps lie in [0, 2**32), one word each,
-so no two streams coincide and results do not depend on execution order,
-block size or platform.
+seeding rule is one stream per experiment: the experiment at a step draws
+the counts of its settings, in setting order, from
+``Generator(PCG64(SeedSequence([seed, step])))``, with ``simulate`` as step
+0.  Seeds and steps lie in [0, 2**32), one word each, so no two streams
+coincide and results do not depend on execution order, block size or
+platform.  A setting's counts do depend on the settings drawn before it in
+the same experiment.
 
 A block stays in read-only arrays from the angles to the numbers
 (``ExperimentBlock``): settings as (K, P, 2, 3), counts as (K, 2P, 4), and
@@ -17,14 +20,9 @@ sigmas of violation as (K,).  ``joint_probabilities``,
 take either one row or the whole stack of S = 2PK settings, and row i of a
 stacked call has the bits of the call on row i alone.  Sums over settings
 and pairs add columns left to right, so the bits do not depend on the
-interpreter's ``sum``.  Seeding is one pass too: ``_seed_words`` computes
-SeedSequence's hash for every [seed, setting_index, step] row of the block
-as uint32 arrays, and ``_pcg64_state`` turns each row's words into the
-state that ``PCG64(SeedSequence(...))`` would start from.  Only the draws
-loop over settings: one PCG64 and Generator per block are set to each
-setting's state in turn for one ``multinomial`` call, so the counts are
-those of a fresh generator per setting.  The tests check the hash and the
-states against ``np.random.SeedSequence`` and ``PCG64`` themselves.
+interpreter's ``sum``.  Only the draws loop, once per experiment: one
+``multinomial`` call on the experiment's (2P, 4) probabilities, which
+draws the bits of one call per setting on the same generator.
 
 Readout confusion is applied to the outcome probabilities before
 sampling; this is equivalent in distribution to flipping sampled
@@ -45,21 +43,6 @@ from .geometry import SettingsConfig, pair_stacks
 from .qstate import _ALPHA_BETA, TwoQubitState, _frozen, joint_probabilities
 
 MAX_CONDITION_NUMBER = 1e6
-
-# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx), for
-# a pool of four 32-bit words
-INIT_A = 0x43B0D7E5
-MULT_A = 0x931E8875
-INIT_B = 0x8B51F9DD
-MULT_B = 0x58F38DED
-MIX_MULT_L = 0xCA01F9DD
-MIX_MULT_R = 0x4973F715
-XSHIFT = 16
-_POOL_SIZE = 4
-_MASK32 = 0xFFFFFFFF
-# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h)
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
 
 
 class ConditioningError(ValueError):
@@ -169,62 +152,6 @@ def correct_readout(model: ReadoutModel, p_measured):
     return p / total, clipped
 
 
-def _seed_words(entropy) -> np.ndarray:
-    """``SeedSequence(row).generate_state(4, np.uint64)`` for each row, as (K, 4).
-
-    ``entropy`` holds K rows of [seed, setting_index, step], each word in
-    [0, 2**32), so SeedSequence takes each row as its three entropy words.
-    The hash constant evolves the same way for every row, so it is a Python
-    int and only the pool is an array, one uint32 column per pool word;
-    uint32 arithmetic wraps as numpy's C code does.
-    """
-    entropy = np.asarray(entropy, dtype=np.uint32)
-    shift = np.uint32(XSHIFT)
-    hash_const = INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
-        hash_const = hash_const * MULT_A & _MASK32
-        value = value * np.uint32(hash_const)
-        return value ^ (value >> shift)
-
-    def mix(x, y):
-        result = np.uint32(MIX_MULT_L) * x - np.uint32(MIX_MULT_R) * y
-        return result ^ (result >> shift)
-
-    # the pool outgrows the three entropy words: the fourth hashes a zero
-    words = list(entropy.T) + [np.zeros(len(entropy), dtype=np.uint32)]
-    pool = [hashmix(word) for word in words]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    # four 64-bit words are eight 32-bit ones, the pool read twice over
-    hash_const = INIT_B
-    state = np.empty((len(entropy), 8), dtype=np.uint32)
-    for i in range(8):
-        value = pool[i % _POOL_SIZE] ^ np.uint32(hash_const)
-        hash_const = hash_const * MULT_B & _MASK32
-        value = value * np.uint32(hash_const)
-        state[:, i] = value ^ (value >> shift)
-    # pairs of 32-bit words read as little-endian 64-bit words, as numpy does
-    return state.astype("<u4").view("<u8")
-
-
-def _pcg64_state(words) -> tuple[int, int]:
-    """(state, inc) of ``PCG64`` seeded with the four 64-bit ``words``.
-
-    This is pcg_setseq_128_srandom_r with initstate = words[0:2] and
-    initseq = words[2:4], high word first: inc = 2 initseq + 1, then from
-    state 0 one step, add initstate, one more step, all mod 2**128.
-    """
-    initstate = words[0] << 64 | words[1]
-    inc = ((words[2] << 64 | words[3]) << 1 | 1) & _MASK128
-    state = (inc + initstate) & _MASK128
-    return (state * _PCG64_MULT + inc) & _MASK128, inc
-
-
 def _corrected_sigma(model: ReadoutModel, f, shots):
     """Standard error of the readout-corrected correlation, by the delta method.
 
@@ -284,7 +211,7 @@ class Estimates:
 class ExperimentBlock:
     """K experiments of one configuration at K angles, as read-only arrays.
 
-    Experiment k ran ``config`` at ``phis[k]``, with the streams of step
+    Experiment k ran ``config`` at ``phis[k]``, with the stream of step
     ``first_step + k`` of its ``run_experiments`` call; the phi of
     ``config`` itself is not used.  ``settings`` is (K, P, 2, 3), each
     pair's (m, m'), and ``counts`` is (K, 2P, 4), in setting order.
@@ -368,12 +295,13 @@ def run_experiments(
     """Sample ``config`` at each of the K angles ``phis`` as one block.
 
     Experiment k runs at ``phis[k]`` (radians, each in [0, pi]) with the
-    streams of step ``first_step + k``: each of its settings draws its
-    outcome counts, ordered (++, +-, -+, --), from SeedSequence([seed,
-    setting_index, step]).  ``shots_per_setting``, ``seed`` and
-    ``first_step`` must be ints (not bools), shots must lie in [1, 2**53],
-    and ``seed`` and every step in [0, 2**32).  The confusion model is
-    folded into the sampling distribution.  The inequality is
+    stream of step ``first_step + k``: its settings draw their outcome
+    counts, ordered (++, +-, -+, --), in setting order from one
+    ``Generator(PCG64(SeedSequence([seed, step])))``, so a setting's counts
+    depend on the settings drawn before it.  ``shots_per_setting``,
+    ``seed`` and ``first_step`` must be ints (not bools), shots must lie in
+    [1, 2**53], and ``seed`` and every step in [0, 2**32).  The confusion
+    model is folded into the sampling distribution.  The inequality is
     ``config.kind``, whose pair count the configuration must have.
     """
     kind = config.kind
@@ -384,7 +312,7 @@ def run_experiments(
     if not len(phis):
         raise ValueError("need at least one phi")
     for name, value in (("shots", shots_per_setting), ("seed", seed), ("step", first_step)):
-        # bool is an int, and a float or string would reach the uint32 words
+        # bool is an int, and a float or string would reach the seed words
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise ValueError(f"{name} must be an int, got {value!r}")
     # counts are held as float64, exact only up to 2**53
@@ -401,21 +329,13 @@ def run_experiments(
     n = np.tile(config.alice[np.repeat(config.pairing, 2)], (len(phis), 1))
     p_phys = apply_confusion(readout, joint_probabilities(state, n, settings.reshape(-1, 3)))
     p_phys /= p_phys.sum(axis=1, keepdims=True)
-    steps = range(first_step, last_step + 1)
-    entropy = [(seed, setting_id, step) for step in steps for setting_id in range(per_experiment)]
-    # its seed is never drawn from: each setting sets its own state first
-    bit_generator = np.random.PCG64(0)
-    rng = np.random.Generator(bit_generator)
-    counts = np.empty(p_phys.shape, dtype=np.int64)
-    for row, words in enumerate(_seed_words(entropy).tolist()):
-        state, inc = _pcg64_state(words)
-        bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        counts[row] = rng.multinomial(shots_per_setting, p_phys[row])
+    # experiment k draws its settings' counts in order from one stream
+    p_phys = p_phys.reshape(len(phis), per_experiment, 4)
+    counts = np.concatenate([
+        np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, step])))
+        .multinomial(shots_per_setting, p)
+        for step, p in zip(range(first_step, last_step + 1), p_phys)
+    ])
     counts.setflags(write=False)
     sines = np.array([kind.sine_coeff * math.sin(phi / 2.0) for phi in phis])
     raw = _estimates(kind, sines, *estimate_correlation(counts))

@@ -502,7 +502,9 @@ class TestSimulate:
         assert "corrected" in data
 
     @pytest.mark.parametrize("tag", ["i26", "i28"])
-    @pytest.mark.parametrize("phi, seed", [("36.87", "4"), ("12.5", "0"), ("90", "4294967295")])
+    @pytest.mark.parametrize(
+        "phi, seed", [("36.87", "4"), ("12.5", "0"), ("90", "4294967295"), ("30", "7")]
+    )
     def test_equals_single_step_sweep(self, capsys, tag, phi, seed):
         common = (
             "--inequality", tag, "--visibility", "0.97", "--shots", "5000",
@@ -510,6 +512,9 @@ class TestSimulate:
         )
         data = simulate_json(capsys, "--phi", phi, *common)
         (row,) = sweep_rows(capsys, "--steps", "1", "--phi-start", phi, "--phi-stop", phi, *common)
+        # degrees(radians(30)) is 29.999999999999996: both write the angle given
+        written = [data[key]["phi_deg"] for key in ("raw", "corrected", "config")]
+        assert [data["phi_deg"], *written] == [float(phi)] * 4 == [float(row["phi_deg"])] * 4
         assert float(row["I_raw"]) == data["raw"]["value"]
         assert float(row["sigma_raw"]) == data["sigma_raw"]
         assert float(row["I_corrected"]) == data["corrected"]["value"]

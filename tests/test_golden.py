@@ -6,9 +6,10 @@ corrected single-angle simulation for both inequalities, of a raw
 raw simulation, of the numpy-free subcommands: the analytic sweep,
 ``thresholds`` and ``report``, and of ``verify``'s grid scan at four angles
 for both inequalities.
-Setting i of sweep step k samples from SeedSequence([seed, i, k]) and
-``simulate`` is step 0, so the sweep's header and first row are pinned on
-their own too: they stay fixed while the streams of later steps do not.
+The settings of sweep step k draw in order from one stream,
+SeedSequence([seed, k]), and ``simulate`` is step 0, so the sweep's header
+and first row are pinned on their own too: they stay fixed while the
+streams of later steps do not.
 The corrected goldens are pinned once more with their corrected-sigma
 fields removed, so a change to how that sigma is computed moves only the
 full digests.
@@ -37,12 +38,12 @@ SIMULATE_ARGS = (
 
 # the corrected goldens without the fields that depend on the corrected sigma
 STRIPPED_SWEEP_SHA256 = {
-    "i26": "a4796a7cffd5259c75ea13d7988eb6204ffb4dbcf8a567f2bcf4abbaea81d8ad",
-    "i28": "39441434321004f55f6fe83c9a2c4ea416188912ffe28594175278fee983a34d",
+    "i26": "b0c2fc772f207d1dc44a277d3a6ad000f62ed5efe5b579713cb4ca70be099caf",
+    "i28": "90cfe1da6cb80c28ca688021508f4598d59b0d1d26ade32e18438bb6147dd366",
 }
 STRIPPED_SIMULATE_SHA256 = {
-    "i26": "9c77390df83cdb32fd3b33d882ae46f21243a3370c77580ade9caf394d525bad",
-    "i28": "56987a3754d14fc495180295d04bf47b368438940d0a8b16342a4f9d95fc06f4",
+    "i26": "ecaa998b7656a6b4ecb373c26e0712794d8435611967fd28817107971eaa99a5",
+    "i28": "4c3dfad10001c72be228268bfb83bfaa98e3fdcc3316919ded97b0fa78472c49",
 }
 SIGMA_COLUMNS = ("sigma_corrected", "sigmas_violation_corrected", "marginal")
 # raw: no --correct; 130 steps are two sweep blocks, at the largest seed
@@ -50,26 +51,26 @@ RAW_SWEEP_ARGS = ("--format", "json", "--steps", "130", "--shots", "1000", "--se
 RAW_SIMULATE_ARGS = ("--phi", "36.87", "--shots", "100000", "--seed", "4")
 
 SWEEP_SHA256 = {
-    "i26": "325e9f0911029957844e63bf2daaf63308795fddf8eed8831638f6d9a4de49c2",
-    "i28": "81d0a9cf05295c8078e3e1469876f465d452fe750210c7fa53c52c54373720d1",
+    "i26": "15fd9a28dcc71d3cc95ae025bf33ad206830d5f3964fa9afa9fe18c218052035",
+    "i28": "1c7f3b3b935b1ecf2714dfad1b1180602b067097d08b3c3db90103cb029a84cb",
 }
 # header plus the step-0 row of the sampled sweep: step 0 draws the same
 # streams as ``simulate``
 SWEEP_STEP0_SHA256 = {
-    "i26": "1b58989aa33ab84ccb6da0dcab9d266437a680bf52a3ac88fb47eafb0d85fcef",
-    "i28": "1d5b01e8f91b243655a6bf21197c71d6859e886380b9694e31bacd9742af1c15",
+    "i26": "dceb63705471620c511197d7fe0f412d80a21982972208a0ba883413efeff4b5",
+    "i28": "e7319625f18bb1f3c8a0b22d443583dc414b651d60f26ac00ceb549958b80089",
 }
 SIMULATE_SHA256 = {
-    "i26": "c011ee27cad0fc9994b42a2ceaf3ddb460b0fb31121c83afe96678cb9f8dda24",
-    "i28": "27b394da2b5b224f5fd6c216901d0fbd094382d54a591b0e6188106e8cc2c1c3",
+    "i26": "2b118b77b71588b6da3f15b3ea8c241980d538935e95a5d406a5db4829e4de9c",
+    "i28": "a84fd55e3c2786f9401e0bdc273d3347ad9cab5afcd37986c17dfce2de4c02a8",
 }
 RAW_SWEEP_SHA256 = {
-    "i26": "21d33a69364c749dbd3893da10669948900b5fa384af50a3aa172016259dbf79",
-    "i28": "fc3273203edf370fa5ca72d988600df47b57824087eeb412a8cfced1101b92cd",
+    "i26": "98f27afb588ecaa63ce5b112254b939a3c1c1b5eddea277cad626a16c04b4a3f",
+    "i28": "10f6e22e8c6ff5bec2b14abcd51dd2185dacdbcf232c8eedc0434c7a7fdd4b53",
 }
 RAW_SIMULATE_SHA256 = {
-    "i26": "a143b02199fce6c5a1e8aa1a3f41fe7d369fb9b7f1b7bb9723001c3379004e12",
-    "i28": "c80ebea4792e5f2242b0619f4768b19c9906dd6bbb38601ff30e77e275cf9f3b",
+    "i26": "f7eaac2ec8098306ea2520d3e451215a78c483581f41c8923e6315beb27ea1ce",
+    "i28": "9429b37498b34852d05a4ab0e174bb1e7fe8ac1894078ae29503cf08d9fb908c",
 }
 # the analytic sweep digest is also pinned by the benchmark's output check
 ANALYTIC_SWEEP_SHA256 = "fa2835d10c8d5a272cb990ae28e58c77ae2bdff0f3ab21280eacb87d0dd1b535"
