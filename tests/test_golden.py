@@ -10,9 +10,10 @@ The settings of sweep step k draw in order from one stream,
 SeedSequence([seed, k]), and ``simulate`` is step 0, so the sweep's header
 and first row are pinned on their own too: they stay fixed while the
 streams of later steps do not.
-The corrected goldens are pinned once more with their corrected-sigma
-fields removed, so a change to how that sigma is computed moves only the
-full digests.
+The corrected goldens are pinned once more with every field that depends
+on the corrected estimator removed (its values, sigmas, sigmas of
+violation, and a corrected sweep's verdict columns), so a change to that
+estimator moves only the full digests.
 A change that reorders a floating-point operation, alters seeding or
 touches the output format shows up here.  They were recorded with numpy
 2.4; numpy may change its Generator streams between releases, which would
@@ -36,16 +37,19 @@ SIMULATE_ARGS = (
     "--f0-nuclear", "0.97",
 )
 
-# the corrected goldens without the fields that depend on the corrected sigma
+# the corrected goldens without the fields that depend on the corrected estimator
 STRIPPED_SWEEP_SHA256 = {
-    "i26": "b0c2fc772f207d1dc44a277d3a6ad000f62ed5efe5b579713cb4ca70be099caf",
-    "i28": "90cfe1da6cb80c28ca688021508f4598d59b0d1d26ade32e18438bb6147dd366",
+    "i26": "4b4253f29b9bb29b04006ed2d791acf35ba4308df1516803c5ddf14369a8b0f5",
+    "i28": "e8fd587149f5336fe1cb0e00af508f3d5760d32a74df3401064370c6022f1bde",
 }
 STRIPPED_SIMULATE_SHA256 = {
-    "i26": "ecaa998b7656a6b4ecb373c26e0712794d8435611967fd28817107971eaa99a5",
-    "i28": "4c3dfad10001c72be228268bfb83bfaa98e3fdcc3316919ded97b0fa78472c49",
+    "i26": "b048ceb6cfddc79a62d5f961346b1bafc3abb0155ea680667504c4df810f8cc9",
+    "i28": "bcd64b4225426bb5c6b6a23b848d5bbd7947508a3d326aa48a9559aea721242d",
 }
-SIGMA_COLUMNS = ("sigma_corrected", "sigmas_violation_corrected", "marginal")
+# a corrected sweep's verdict columns are read from its corrected values
+CORRECTED_COLUMNS = (
+    "I_corrected", "sigma_corrected", "sigmas_violation_corrected", "violated", "marginal",
+)
 # raw: no --correct; 130 steps are two sweep blocks, at the largest seed
 RAW_SWEEP_ARGS = ("--format", "json", "--steps", "130", "--shots", "1000", "--seed", "4294967295")
 RAW_SIMULATE_ARGS = ("--phi", "36.87", "--shots", "100000", "--seed", "4")
@@ -103,19 +107,19 @@ def stdout_sha256(capsys, *argv) -> str:
     return sha256(stdout_of(capsys, *argv))
 
 
-def without_sigma_columns(csv_text: str) -> str:
-    """The CSV without the columns named in SIGMA_COLUMNS."""
+def without_corrected_columns(csv_text: str) -> str:
+    """The CSV without the columns named in CORRECTED_COLUMNS."""
     rows = [line.split(",") for line in csv_text.splitlines()]
-    keep = [i for i, name in enumerate(rows[0]) if name not in SIGMA_COLUMNS]
+    keep = [i for i, name in enumerate(rows[0]) if name not in CORRECTED_COLUMNS]
     return "".join(",".join(row[i] for i in keep) + "\n" for row in rows)
 
 
-def without_sigma_keys(json_text: str) -> str:
-    """The simulate JSON without its corrected-sigma keys, top level and per setting."""
+def without_corrected_keys(json_text: str) -> str:
+    """The simulate JSON without its corrected keys, top level and per setting."""
     data = json.loads(json_text)
-    del data["sigma_corrected"], data["sigmas_violation_corrected"]
+    del data["corrected"], data["sigma_corrected"], data["sigmas_violation_corrected"]
     for setting in data["settings"]:
-        del setting["sigma_corrected"]
+        del setting["c_corrected"], setting["sigma_corrected"]
     return json.dumps(data, indent=2) + "\n"
 
 
@@ -141,13 +145,13 @@ def test_simulate(capsys, tag):
 @pytest.mark.parametrize("tag", ["i26", "i28"])
 def test_sampled_sweep_without_corrected_sigma(capsys, tag):
     out = stdout_of(capsys, "sweep", "--inequality", tag, *SWEEP_ARGS)
-    assert sha256(without_sigma_columns(out)) == STRIPPED_SWEEP_SHA256[tag]
+    assert sha256(without_corrected_columns(out)) == STRIPPED_SWEEP_SHA256[tag]
 
 
 @pytest.mark.parametrize("tag", ["i26", "i28"])
 def test_simulate_without_corrected_sigma(capsys, tag):
     out = stdout_of(capsys, "simulate", "--inequality", tag, *SIMULATE_ARGS)
-    assert sha256(without_sigma_keys(out)) == STRIPPED_SIMULATE_SHA256[tag]
+    assert sha256(without_corrected_keys(out)) == STRIPPED_SIMULATE_SHA256[tag]
 
 
 @pytest.mark.parametrize("tag", ["i26", "i28"])
