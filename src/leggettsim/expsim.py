@@ -16,9 +16,9 @@ A block stays in read-only arrays from the angles to the numbers
 for the raw and the corrected data (``Estimates``) per-setting
 correlations as (K, 2P), pair terms as (K, P) and values, sigmas and
 sigmas of violation as (K,).  ``joint_probabilities``,
-``apply_confusion``, ``correct_readout`` and ``estimate_correlation`` each
-take either one row or the whole stack of S = 2PK settings, and row i of a
-stacked call has the bits of the call on row i alone.  Sums over settings
+``apply_confusion`` and ``estimate_correlation`` each take either one row
+or the whole stack of S = 2PK settings, and row i of a stacked call has
+the bits of the call on row i alone.  Sums over settings
 and pairs add columns left to right, so the bits do not depend on the
 interpreter's ``sum``.  Only the draws loop, once per experiment: one
 ``multinomial`` call on the experiment's (2P, 4) probabilities, which
@@ -26,8 +26,11 @@ draws the bits of one call per setting on the same generator.
 
 Readout confusion is applied to the outcome probabilities before
 sampling; this is equivalent in distribution to flipping sampled
-outcomes and exactly reproducible.  The corrected sigma propagates the
-multinomial noise through the inverse confusion by the delta method.
+outcomes and exactly reproducible.  The one corrected estimator is the
+linear inversion g . f of a setting's reported frequencies f, with
+g = R^-T (1, -1, -1, 1): it is unbiased and unclipped, so a corrected
+correlation may lie outside [-1, 1], and its sigma propagates the
+multinomial noise through g by the delta method.
 """
 
 from __future__ import annotations
@@ -94,16 +97,23 @@ class ReadoutModel:
         return self._joint
 
     @cached_property
-    def _condition_number(self) -> float:
-        # computed on the first correction only: a model never used to
-        # correct never raises ConditioningError
-        return float(np.linalg.cond(self._joint))
+    def _inverse(self) -> np.ndarray:
+        """R^-1, once R's condition number is checked against
+        MAX_CONDITION_NUMBER.  Computed on the first correction only, so a
+        model never used to correct never raises ConditioningError."""
+        cond = float(np.linalg.cond(self._joint))
+        if not cond <= MAX_CONDITION_NUMBER:
+            raise ConditioningError(
+                f"confusion matrix condition number {cond:.3g} exceeds {MAX_CONDITION_NUMBER:.0e}"
+            )
+        return _frozen(np.linalg.inv(self._joint))
 
     @cached_property
     def _gain(self) -> np.ndarray:
-        """g = R^-T (1, -1, -1, 1), computed on first use: before clipping,
-        the corrected correlation of reported frequencies f is g . f."""
-        return _frozen(np.linalg.solve(self._joint.T, _ALPHA_BETA))
+        """g = R^-T (1, -1, -1, 1), the signed rows of R^-1 added left to
+        right: the corrected correlation of reported frequencies f is g . f."""
+        inverse = self._inverse
+        return _frozen(inverse[0] - inverse[1] - inverse[2] + inverse[3])
 
 
 def _stack_of_4(x, name: str) -> np.ndarray:
@@ -127,47 +137,27 @@ def apply_confusion(model: ReadoutModel, p) -> np.ndarray:
     return (model.joint() @ p[..., None])[..., 0]
 
 
-def correct_readout(model: ReadoutModel, p_measured):
-    """Invert the confusion, clip negatives to zero and renormalize.
+def _corrected(model: ReadoutModel, f, shots):
+    """Readout-corrected correlations, their sigmas and clip flags.
 
-    Returns (corrected distribution, clipped) for one (4,) or an (S, 4)
-    stack.  ``clipped`` is a bool, or a bool array with one entry per row,
-    that says whether the inverted distribution had a negative entry.
-    """
-    p_measured = _stack_of_4(p_measured, "probabilities")
-    cond = model._condition_number
-    if not cond <= MAX_CONDITION_NUMBER:
-        raise ConditioningError(
-            f"confusion matrix condition number {cond:.3g} exceeds {MAX_CONDITION_NUMBER:.0e}"
-        )
-    # one LAPACK solve per row: a single multi-column solve rounds differently
-    p = np.linalg.solve(model.joint(), p_measured[..., None])[..., 0]
-    clipped = (p < -1e-12).any(axis=-1)
-    p = np.clip(p, 0.0, None)
-    total = p.sum(axis=-1, keepdims=True)
-    if not total.min() > 0.0:
-        raise ValueError("corrected probabilities sum to zero")
-    if p.ndim == 1:
-        clipped = bool(clipped)
-    return p / total, clipped
-
-
-def _corrected_sigma(model: ReadoutModel, f, shots):
-    """Standard error of the readout-corrected correlation, by the delta method.
-
-    f is an (S, 4) stack of reported frequencies.  Before clipping, the
-    corrected correlation is g . f with g = R^-T (1, -1, -1, 1), and f has
-    the multinomial covariance (diag(f) - f f^T)/N, so its variance is
-    (sum_j g_j^2 f_j - (g . f)^2)/N; see Maciejewski, Zimboras and
-    Oszmaniec, Quantum 4, 257 (2020).  The four terms are added left to
-    right.
+    f is an (S, 4) stack of reported frequencies of ``shots`` draws each.
+    The corrected correlation is the linear inversion c = g . f with
+    g = R^-T (1, -1, -1, 1), unclipped, so it is unbiased and may lie
+    outside [-1, 1].  f has the multinomial covariance
+    (diag(f) - f f^T)/N, so the delta-method variance of c is
+    (sum_j g_j^2 f_j - c^2)/N; see Maciejewski, Zimboras and Oszmaniec,
+    Quantum 4, 257 (2020).  The four terms are added left to right.  A
+    setting is flagged as clipped where R^-1 f, its inverted distribution,
+    has an entry below -1e-12, that is, left the probability simplex.
     """
     g = model._gain.tolist()
-    mean = second = 0.0
+    c = second = 0.0
     for j in range(4):
-        mean = mean + g[j] * f[:, j]
+        c = c + g[j] * f[:, j]
         second = second + g[j] * g[j] * f[:, j]
-    return np.sqrt(np.maximum(second - mean * mean, 0.0) / shots)
+    sigma = np.sqrt(np.maximum(second - c * c, 0.0) / shots)
+    clipped = ((model._inverse @ f[..., None])[..., 0] < -1e-12).any(axis=-1)
+    return c, sigma, clipped
 
 
 def estimate_correlation(counts):
@@ -216,8 +206,9 @@ class ExperimentBlock:
     ``config`` itself is not used.  ``settings`` is (K, P, 2, 3), each
     pair's (m, m'), and ``counts`` is (K, 2P, 4), in setting order.
     ``clip_events`` (K,) counts the settings of each experiment whose
-    correction clipped; ``corrected`` is None unless the block was
-    corrected.
+    inverted distribution R^-1 f left the probability simplex (the
+    corrected values are not clipped); ``corrected`` is None unless the
+    block was corrected.
     """
 
     config: SettingsConfig
@@ -342,16 +333,15 @@ def run_experiments(
     corrected = None
     clipped = np.zeros(len(counts), dtype=bool)
     if correct:
-        f = counts / shots_per_setting
-        p_corr, clipped = correct_readout(readout, f)
-        c = p_corr[:, 0] + p_corr[:, 3] - p_corr[:, 1] - p_corr[:, 2]
-        corrected = _estimates(kind, sines, c, _corrected_sigma(readout, f, shots_per_setting))
+        c, sigma, clipped = _corrected(readout, counts / shots_per_setting, shots_per_setting)
+        corrected = _estimates(kind, sines, c, sigma, readout._gain)
     shape = (len(phis), per_experiment)
     clip_events = _frozen(clipped.reshape(shape).sum(axis=1))
     phis = _frozen(np.array(phis, dtype=float))
     counts = counts.reshape(*shape, 4)
     return ExperimentBlock(
-        config, phis, shots_per_setting, seed, settings, counts, raw, corrected, clip_events
+        config, phis, int(shots_per_setting), int(seed), settings, counts, raw, corrected,
+        clip_events,
     )
 
 
@@ -364,19 +354,23 @@ def _row_sums(x: np.ndarray) -> np.ndarray:
     return total
 
 
-def _estimates(kind, sines, c, c_sigma) -> Estimates:
+def _estimates(kind, sines, c, c_sigma, gain=_ALPHA_BETA) -> Estimates:
     """Pair terms, values, sigmas and sigmas of violation of a block.
 
     ``c`` and ``c_sigma`` hold the block's settings in order, K experiments
-    of 2P settings, and ``sines`` each experiment's sine term.  Pair terms
-    are treated as sign-fixed, so an experiment's sigma is the root sum of
-    its settings' squared sigmas; this fails near |C + C'| = 0.  A sigma of
-    0 gives sigmas of violation of +-inf, or 0 at the bound.
+    of 2P settings, and ``sines`` each experiment's sine term.  Each
+    correlation is ``gain`` . f for its setting's frequencies f, a convex
+    combination of the gain's entries, so it must lie in [min, max] of
+    them: [-1, 1] for raw data, wider for corrected.  Pair terms are
+    treated as sign-fixed, so an experiment's sigma is the root sum of its
+    settings' squared sigmas; this fails near |C + C'| = 0.  A sigma of 0
+    gives sigmas of violation of +-inf, or 0 at the bound.
     """
+    lo, hi = float(gain.min()), float(gain.max())
     # "not within range" rather than "outside it", so that NaN fails
-    outside = ~(np.abs(c) <= 1.0 + 1e-9)
+    outside = ~((c >= lo - 1e-9) & (c <= hi + 1e-9))
     if outside.any():
-        raise ValueError(f"correlations must lie in [-1, 1], got {c[outside][0]}")
+        raise ValueError(f"correlations must lie in [{lo:g}, {hi:g}], got {c[outside][0]}")
     c = c.reshape(len(sines), -1)
     c_sigma = c_sigma.reshape(c.shape)
     pair_terms = np.abs(c[:, 0::2] + c[:, 1::2])

@@ -3,7 +3,7 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 
-from leggettsim.expsim import run_experiments
+from leggettsim.expsim import _corrected, run_experiments
 from leggettsim.geometry import Z, SettingsConfig
 from leggettsim.inequalities import I26
 from leggettsim.qstate import _check_unit
@@ -40,12 +40,14 @@ def correlation(state, n, m) -> float:
     return float(np.clip(float(n @ state.tensor.t @ m), -1.0, 1.0))
 
 
-def evaluate(kind, phi: float, correlations) -> dict:
+def evaluate(kind, phi: float, correlations, gain=(1.0, -1.0, -1.0, 1.0)) -> dict:
     """Inequality value from per-pair correlations [(C_i, C_i'), ...].
 
     The scalar test reference for the sampler's pair terms and values, in
     the form ``simulate`` writes them: each pair term is |C + C'|, and the
-    terms are added left to right, then the sine term.
+    terms are added left to right, then the sine term.  Each correlation
+    is ``gain`` . f for its setting's frequencies f, so it must lie in
+    [min, max] of the gain's entries: [-1, 1] for raw data.
     """
     if not 0.0 <= phi <= math.pi:
         raise ValueError(f"phi must lie in [0, pi], got {phi}")
@@ -53,9 +55,10 @@ def evaluate(kind, phi: float, correlations) -> dict:
         raise ValueError(
             f"{kind.tag} needs {kind.num_pairs} correlation pairs, got {len(correlations)}"
         )
+    lo, hi = min(gain), max(gain)
     for c, cp in correlations:
-        if not (-1.0 - 1e-9 <= c <= 1.0 + 1e-9 and -1.0 - 1e-9 <= cp <= 1.0 + 1e-9):
-            raise ValueError(f"correlations must lie in [-1, 1], got ({c}, {cp})")
+        if not (lo - 1e-9 <= c <= hi + 1e-9 and lo - 1e-9 <= cp <= hi + 1e-9):
+            raise ValueError(f"correlations must lie in [{lo:g}, {hi:g}], got ({c}, {cp})")
     pair_terms = [abs(c + cp) for c, cp in correlations]
     value = 0.0
     for term in pair_terms:
@@ -69,6 +72,12 @@ def evaluate(kind, phi: float, correlations) -> dict:
         "pair_terms": pair_terms,
         "violated": value > kind.bound,
     }
+
+
+def corrected_correlation(model, f) -> float:
+    """The readout-corrected correlation g . f of one reported distribution f."""
+    c, _, _ = _corrected(model, np.array([f], dtype=float), 1)
+    return float(c[0])
 
 
 def run_one(state, config, shots, seed, readout=None, correct=False, step=0):

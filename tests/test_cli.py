@@ -501,6 +501,16 @@ class TestSimulate:
         data = json.loads(out)
         assert "corrected" in data
 
+    def test_corrected_beyond_one_reported(self, capsys):
+        # the corrected C is the unclipped linear inversion, so at V = 1 and
+        # a small phi it can exceed 1, and it is reported, not rejected
+        data = simulate_json(
+            capsys, "--visibility", "1", "--phi", "10", "--shots", "1000", "--correct",
+            *READOUT_ARGS, "--f1-electron", "0.94",
+        )
+        assert data["clip_events"] > 0
+        assert max(s["c_corrected"] for s in data["settings"]) > 1.0
+
     @pytest.mark.parametrize("tag", ["i26", "i28"])
     @pytest.mark.parametrize(
         "phi, seed", [("36.87", "4"), ("12.5", "0"), ("90", "4294967295"), ("30", "7")]

@@ -1,17 +1,18 @@
 import copy
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
-from conftest import evaluate, run_one
+from conftest import corrected_correlation, evaluate, run_one
 from leggettsim.expsim import (
     ConditioningError,
     ReadoutModel,
+    _corrected,
     _estimates,
     apply_confusion,
-    correct_readout,
     estimate_correlation,
     run_experiments,
 )
@@ -126,33 +127,47 @@ class TestConfusion:
             ReadoutModel.from_fidelities(np.nan, 1.0, 1.0, 1.0)
 
 
+def outcome_correlation(p) -> float:
+    """C(p) = p(++) - p(+-) - p(-+) + p(--)."""
+    return float(p[0] - p[1] - p[2] + p[3])
+
+
 class TestCorrectReadout:
+    """The linear inversion g . f, g = R^-T (1, -1, -1, 1), recovers C(p) from f = R p."""
+
     def test_identity(self):
         p = np.array([0.3, 0.2, 0.1, 0.4])
-        recovered, clipped = correct_readout(ReadoutModel.identity(), p)
-        assert np.allclose(recovered, p, atol=1e-15) and clipped is False
+        model = ReadoutModel.identity()
+        c, _, clipped = _corrected(model, p[None], 1)
+        assert model._gain.tolist() == [1.0, -1.0, -1.0, 1.0]
+        assert c.tolist() == [outcome_correlation(p)] and clipped.tolist() == [False]
 
     def test_round_trip(self):
         model = ReadoutModel.from_fidelities(0.97, 0.93, 0.97, 0.93)
         p_true = np.array([0.5, 0.0, 0.0, 0.5])
-        recovered, _ = correct_readout(model, apply_confusion(model, p_true))
-        assert np.allclose(recovered, p_true, atol=1e-10)
+        recovered = corrected_correlation(model, apply_confusion(model, p_true))
+        assert recovered == pytest.approx(1.0, abs=1e-10)
 
     def test_nan_rejected(self):
-        with pytest.raises(ValueError, match="sum to zero"):
-            correct_readout(ReadoutModel.identity(), [np.nan, 0.0, 0.0, 1.0])
+        # NaN frequencies give a NaN corrected value, which the range check rejects
+        model = ReadoutModel.from_fidelities(0.97, 0.95, 0.96, 0.94)
+        f = np.full((6, 4), 0.25)
+        f[4] = [np.nan, 0.0, 0.0, 1.0]
+        c, sigma, _ = _corrected(model, f, 100)
+        with pytest.raises(ValueError, match="correlations must lie in"):
+            _estimates(I26, np.zeros(1), c, sigma, model._gain)
 
     def test_singular_model(self):
         model = ReadoutModel.from_fidelities(0.5, 0.5, 0.5, 0.5)
         with pytest.raises(ConditioningError):
-            correct_readout(model, [0.25, 0.25, 0.25, 0.25])
+            _corrected(model, np.full((1, 4), 0.25), 1)
 
-    def test_clipping_renormalizes(self):
+    def test_clipping_only_flagged(self):
+        # R^-1 f leaves the simplex; the value g . f = g_0 = 1/0.9**2 is kept
         model = ReadoutModel.from_fidelities(0.95, 0.95, 0.95, 0.95)
-        out, clipped = correct_readout(model, [1.0, 0.0, 0.0, 0.0])
-        assert clipped is True
-        assert np.all(out >= 0.0)
-        assert out.sum() == pytest.approx(1.0, abs=1e-12)
+        c, _, clipped = _corrected(model, np.array([[1.0, 0.0, 0.0, 0.0]]), 1)
+        assert clipped.tolist() == [True]
+        assert c[0] == model._gain[0] == pytest.approx(1.0 / 0.81, rel=1e-12)
 
     def test_random_round_trips(self):
         rng = np.random.default_rng(5)
@@ -160,8 +175,8 @@ class TestCorrectReadout:
             f = rng.uniform(0.9, 1.0, size=4)
             model = ReadoutModel.from_fidelities(*f)
             p = rng.dirichlet(np.ones(4))
-            recovered, _ = correct_readout(model, apply_confusion(model, p))
-            assert np.allclose(recovered, p, atol=1e-10)
+            recovered = corrected_correlation(model, apply_confusion(model, p))
+            assert recovered == pytest.approx(outcome_correlation(p), abs=1e-10)
 
 
 def sampled_counts(state, shots, seed, step=0):
@@ -243,6 +258,11 @@ class TestSampling:
             sampled_counts(state, 100, seed=word(2**32 - 1), step=word(5)),
             sampled_counts(state, 100, seed=2**32 - 1, step=5),
         )
+        # the block holds Python ints, so it serializes as simulate writes it
+        block = run_one(state, canonical_i26(0.0), word(100), word(2**32 - 1), step=word(5))
+        data = block.to_json_dict(0)
+        assert type(data["shots_per_setting"]) is int and type(data["seed"]) is int
+        json.dumps(data)
 
 
 class TestEstimateCorrelation:
@@ -376,26 +396,35 @@ class TestRunExperiment:
     def test_sigmas_calibrated(self, fidelities):
         # over 200 seeds, the spread of the values matches the mean reported
         # sigma, raw and corrected; the corrected sigma carries the noise
-        # gain of inverting R.  The delta method holds only where no setting
-        # clips, so the clipped seeds are pinned: {seed: clipped settings}
+        # gain of inverting R.  The clipped seeds are pinned, {seed: clipped
+        # settings}, as a check on the clip condition
         expected_clips = {(0.99, 0.6, 0.99, 0.6): {79: 1}}.get(fidelities, {})
         state = werner(0.98)
-        config = adapted_config(state)
         model = ReadoutModel.from_fidelities(*fidelities)
-        values = {"raw": [], "corrected": []}
-        sigmas = {"raw": [], "corrected": []}
-        clips = {}
-        for seed in range(200):
-            result = run_one(state, config, 20000, seed, model, correct=True)
-            if result.clip_events[0]:
-                clips[seed] = int(result.clip_events[0])
-            for name in values:
-                values[name].append(getattr(result, name).value[0])
-                sigmas[name].append(getattr(result, name).sigma[0])
+        values, sigmas, clips = calibration_runs(state, adapted_config(state), model, 20000, 200)
         for name in values:
             ratio = float(np.std(values[name], ddof=1) / np.mean(sigmas[name]))
             assert 0.85 <= ratio <= 1.15, (name, ratio)
         assert clips == expected_clips
+
+    def test_sigmas_calibrated_where_correction_clips(self):
+        # at V = 1 and a small phi every |C| is near 1, and with these
+        # fidelities R^-1 f leaves the simplex for over half of the settings
+        # (1336 of 2400); clipping it there and renormalizing would bias the
+        # value by -0.83 sigma and shrink its spread to 0.72 sigma
+        phi = math.radians(10.0)
+        state = werner(1.0)
+        model = ReadoutModel.from_fidelities(0.97, 0.95, 0.96, 0.94)
+        values, sigmas, clips = calibration_runs(
+            state, adapted_config(state, phi), model, 10**4, 400
+        )
+        assert sum(clips.values()) == 1336
+        corrected = np.array(values["corrected"])
+        sd = float(np.std(corrected, ddof=1))
+        ratio = sd / float(np.mean(sigmas["corrected"]))
+        assert 0.85 <= ratio <= 1.15, ratio
+        bias = float(np.mean(corrected)) - quantum_value(I26, phi, 1.0)
+        assert abs(bias) <= 3.0 * sd / math.sqrt(len(corrected)), bias
 
     def test_corrected_sigma_with_identity_model_is_binomial(self):
         state = werner(0.9)
@@ -409,6 +438,23 @@ class TestRunExperiment:
         config = dataclasses.replace(adapted_config(state), kind=I28)
         with pytest.raises(ValueError, match="i28 needs 4 correlation pairs, got 3"):
             run_one(state, config, 100, seed=0)
+
+
+def calibration_runs(state, config, model, shots, seeds):
+    """Corrected runs of seeds 0 .. seeds - 1: ({dataset: values},
+    {dataset: sigmas}, {seed: clipped settings}) for the raw and the
+    corrected dataset."""
+    values = {"raw": [], "corrected": []}
+    sigmas = {"raw": [], "corrected": []}
+    clips = {}
+    for seed in range(seeds):
+        result = run_one(state, config, shots, seed, model, correct=True)
+        if result.clip_events[0]:
+            clips[seed] = int(result.clip_events[0])
+        for name in values:
+            values[name].append(getattr(result, name).value[0])
+            sigmas[name].append(getattr(result, name).sigma[0])
+    return values, sigmas, clips
 
 
 # --- the per-setting loop the stacked sampler replaced -------------------
@@ -434,6 +480,11 @@ def reference_joint_probabilities(state, n, m):
 
 
 def referencecorrect_readout(model, p_measured):
+    """The clipped estimator: solve R p = f, clip negatives and renormalize.
+
+    Its flag is the reference for clip events, and where nothing clips its
+    correlation equals the linear inversion's.
+    """
     p = np.linalg.solve(model.joint(), p_measured)
     clipped = bool(np.any(p < -1e-12))
     p = np.clip(p, 0.0, None)
@@ -446,14 +497,19 @@ def reference_estimate_correlation(counts):
     return c_hat, math.sqrt(max(1.0 - c_hat * c_hat, 0.0) / total)
 
 
-def reference_corrected_sigma(model, f, shots):
-    """Delta-method sigma of g . f, g = R^-T (1, -1, -1, 1), for one setting's frequencies f."""
-    g = np.linalg.solve(model.joint().T, [1.0, -1.0, -1.0, 1.0]).tolist()
-    mean = second = 0.0
-    for g_j, f_j in zip(g, f.tolist()):
-        mean += g_j * f_j
+def reference_gain(model):
+    """g = R^-T (1, -1, -1, 1), the signed rows of R^-1 added left to right."""
+    inverse = np.linalg.inv(model.joint())
+    return (inverse[0] - inverse[1] - inverse[2] + inverse[3]).tolist()
+
+
+def reference_corrected(model, f, shots):
+    """The linear inversion g . f of one setting's frequencies f and its delta-method sigma."""
+    c = second = 0.0
+    for g_j, f_j in zip(reference_gain(model), f.tolist()):
+        c += g_j * f_j
         second += g_j * g_j * f_j
-    return math.sqrt(max(second - mean * mean, 0.0) / shots)
+    return c, math.sqrt(max(second - c * c, 0.0) / shots)
 
 
 def reference_settings(config):
@@ -477,10 +533,9 @@ def reference_experiment(state, config, shots, seed, readout, correct, step):
         c_raw, sigma_raw = reference_estimate_correlation(counts)
         c_corr = sigma_corr = None
         if correct:
-            p_corr, clipped = referencecorrect_readout(readout, counts / shots)
+            _, clipped = referencecorrect_readout(readout, counts / shots)
             clip_events += int(clipped)
-            c_corr = float(p_corr[0] + p_corr[3] - p_corr[1] - p_corr[2])
-            sigma_corr = reference_corrected_sigma(readout, counts / shots, shots)
+            c_corr, sigma_corr = reference_corrected(readout, counts / shots, shots)
         settings.append(
             {
                 "setting_id": setting_id,
@@ -495,9 +550,9 @@ def reference_experiment(state, config, shots, seed, readout, correct, step):
             }
         )
 
-    def assemble(dataset):
+    def assemble(dataset, gain=(1.0, -1.0, -1.0, 1.0)):
         values = [s[f"c_{dataset}"] for s in settings]
-        ineq = evaluate(kind, config.phi, list(zip(values[::2], values[1::2])))
+        ineq = evaluate(kind, config.phi, list(zip(values[::2], values[1::2])), gain)
         variance = 0.0
         for s in settings:
             variance += s[f"sigma_{dataset}"] * s[f"sigma_{dataset}"]
@@ -518,7 +573,7 @@ def reference_experiment(state, config, shots, seed, readout, correct, step):
     out["raw"], out["sigma_raw"], out["sigmas_violation_raw"] = assemble("raw")
     out["clip_events"] = clip_events
     if correct:
-        corrected = assemble("corrected")
+        corrected = assemble("corrected", reference_gain(readout))
         out["corrected"], out["sigma_corrected"], out["sigmas_violation_corrected"] = corrected
     out["config"] = config.to_json_dict()
     return out
@@ -590,7 +645,7 @@ class TestStackedMatchesReference:
             probs = joint_probabilities(state, n, m)
             reported = apply_confusion(readout, probs)
             counts = np.array([rng.multinomial(30, p / p.sum()) for p in reported])
-            corrected, clipped = correct_readout(readout, counts / 30)
+            c_corr, sigma_corr, clipped = _corrected(readout, counts / 30, 30)
             c_hat, sigma = estimate_correlation(counts)
             for i in range(size):
                 row = joint_probabilities(state, n[i], m[i])
@@ -599,11 +654,14 @@ class TestStackedMatchesReference:
                 row = apply_confusion(readout, probs[i])
                 assert row.tobytes() == reported[i].tobytes()
                 assert row.tobytes() == (readout.joint() @ probs[i]).tobytes()
-                row, row_clipped = correct_readout(readout, counts[i] / 30)
-                assert row.tobytes() == corrected[i].tobytes()
-                assert row_clipped is bool(clipped[i])
-                ref_row, ref_clipped = referencecorrect_readout(readout, counts[i] / 30)
-                assert row.tobytes() == ref_row.tobytes() and row_clipped == ref_clipped
+                row = _corrected(readout, counts[i : i + 1] / 30, 30)
+                assert [x.tolist() for x in row] == [[c_corr[i]], [sigma_corr[i]], [clipped[i]]]
+                ref = reference_corrected(readout, counts[i] / 30, 30)
+                assert ref == (c_corr[i], sigma_corr[i])
+                ref_p, ref_clipped = referencecorrect_readout(readout, counts[i] / 30)
+                assert clipped[i] == ref_clipped
+                if not ref_clipped:
+                    assert c_corr[i] == pytest.approx(outcome_correlation(ref_p), abs=1e-10)
                 single = estimate_correlation(counts[i])
                 assert single == (float(c_hat[i]), float(sigma[i]))
                 assert single == reference_estimate_correlation(counts[i])
@@ -690,8 +748,6 @@ class TestStackedMatchesReference:
         state, readout = random_state(np.random.default_rng(3)), ReadoutModel.identity()
         assert joint_probabilities(state, [0, 0, 1], [1, 0, 0]).shape == (4,)
         assert apply_confusion(readout, [0.25] * 4).shape == (4,)
-        p, clipped = correct_readout(readout, [0.25] * 4)
-        assert p.shape == (4,) and clipped is False
         assert joint_probabilities(state, np.eye(3), np.eye(3)).shape == (3, 4)
 
     def test_counts_read_only(self):
@@ -750,6 +806,17 @@ class TestEstimates:
         c[4] = bad
         with pytest.raises(ValueError, match=r"correlations must lie in \[-1, 1\]"):
             _estimates(I26, np.zeros(1), c, np.full(6, 0.1))
+
+    def test_corrected_domain(self):
+        # a corrected C is g . f, a convex combination of the gain's entries
+        gain = ReadoutModel.from_fidelities(0.95, 0.95, 0.95, 0.95)._gain
+        c = np.zeros(6)
+        c[4] = 1.2
+        assert _estimates(I26, np.zeros(1), c, np.full(6, 0.1), gain).c[0, 4] == 1.2
+        for bad in (1.0 / 0.81 + 2e-9, -1.5, math.nan):
+            c[4] = bad
+            with pytest.raises(ValueError, match=r"correlations must lie in \[-1.23457, 1.23457\]"):
+                _estimates(I26, np.zeros(1), c, np.full(6, 0.1), gain)
 
     def test_zero_sigma(self):
         # above, below and at the bound, without a division warning

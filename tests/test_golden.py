@@ -13,7 +13,7 @@ streams of later steps do not.
 The corrected goldens are pinned once more with every field that depends
 on the corrected estimator removed (its values, sigmas, sigmas of
 violation, and a corrected sweep's verdict columns), so a change to that
-estimator moves only the full digests.
+estimator moves only the full digests, the sweep's step-0 row included.
 A change that reorders a floating-point operation, alters seeding or
 touches the output format shows up here.  They were recorded with numpy
 2.4; numpy may change its Generator streams between releases, which would
@@ -55,18 +55,18 @@ RAW_SWEEP_ARGS = ("--format", "json", "--steps", "130", "--shots", "1000", "--se
 RAW_SIMULATE_ARGS = ("--phi", "36.87", "--shots", "100000", "--seed", "4")
 
 SWEEP_SHA256 = {
-    "i26": "15fd9a28dcc71d3cc95ae025bf33ad206830d5f3964fa9afa9fe18c218052035",
-    "i28": "1c7f3b3b935b1ecf2714dfad1b1180602b067097d08b3c3db90103cb029a84cb",
+    "i26": "e42b386c7db13141c3505768157c25e4db7a856035189603831c05846aeff829",
+    "i28": "32bab995eea8bc809edf1e16a3683a9faae1aaf683a3189ace8fac69c1b82e40",
 }
 # header plus the step-0 row of the sampled sweep: step 0 draws the same
 # streams as ``simulate``
 SWEEP_STEP0_SHA256 = {
-    "i26": "dceb63705471620c511197d7fe0f412d80a21982972208a0ba883413efeff4b5",
-    "i28": "e7319625f18bb1f3c8a0b22d443583dc414b651d60f26ac00ceb549958b80089",
+    "i26": "97ba9f87852cef71fcf0723768f9cd3d7353495b610cd52b840a54239ba427f3",
+    "i28": "fa40baf01baec07b464af8fab54c7e83cd2931b6dc10727f904234221c44cfb0",
 }
 SIMULATE_SHA256 = {
-    "i26": "2b118b77b71588b6da3f15b3ea8c241980d538935e95a5d406a5db4829e4de9c",
-    "i28": "a84fd55e3c2786f9401e0bdc273d3347ad9cab5afcd37986c17dfce2de4c02a8",
+    "i26": "846edb68e800e249d5125c29e570020caf75439a5583651bef62f1f4f66f17f3",
+    "i28": "8df00ddae299a9eda7389a770f9605ee8df4c859daab657dc2330140b33dd815",
 }
 RAW_SWEEP_SHA256 = {
     "i26": "98f27afb588ecaa63ce5b112254b939a3c1c1b5eddea277cad626a16c04b4a3f",
