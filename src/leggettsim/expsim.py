@@ -18,9 +18,9 @@ correlations as (K, 2P), pair terms as (K, P) and values, sigmas and
 sigmas of violation as (K,).  ``joint_probabilities``,
 ``apply_confusion`` and ``estimate_correlation`` each take either one row
 or the whole stack of S = 2PK settings, and row i of a stacked call has
-the bits of the call on row i alone.  Sums over settings
-and pairs add columns left to right, so the bits do not depend on the
-interpreter's ``sum``.  Only the draws loop, once per experiment: one
+the bits of the call on row i alone.  Sums over settings and pairs add
+columns left to right, so the bits do not depend on the interpreter's
+``sum``.  Only the draws loop, once per experiment: one
 ``multinomial`` call on the experiment's (2P, 4) probabilities, which
 draws the bits of one call per setting on the same generator.
 
