@@ -315,6 +315,8 @@ def cmd_verify(args) -> int:
         _check_phi_deg(phi_deg)
     from . import geometry, oracle
 
+    if args.grid_size > oracle.MAX_GRID_SIZE:
+        raise UsageError(f"grid-size: must be <= {oracle.MAX_GRID_SIZE}, got {args.grid_size}")
     canonical = geometry.CANONICAL[args.inequality]
     reports = []
     all_pass = True

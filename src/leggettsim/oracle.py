@@ -12,7 +12,10 @@ does not certify the inequality bound.
 
 The scan is pruned without changing its result: each pair term is at most
 2 - |v.(m - m')| for any u, so a v-column whose summed ceilings fall below
-the best cell found cannot hold the grid maximum or a tie with it.
+the best cell found cannot hold the grid maximum or a tie with it.  Columns
+are visited by falling ceiling in chunks that grow from one column to
+``_CHUNK``, so a scan whose best columns lead stops after a few of them.
+The grid size lies in [50, MAX_GRID_SIZE].
 
 The Malus-type marginal rule is the standard construction for this model
 class; the paper relegates it to supplementary material.
@@ -77,8 +80,12 @@ def pair_term_max(m_a, m_b, m_b_prime):
 # about 1e-15 per pair, so with this slack no computed cell can reach above
 # its column's ceiling, and pruning a column below the best cell is exact.
 _SLACK = 1e-9
-# Columns evaluated together; a chunk holds grid_size * _CHUNK cells.
+# Widest chunk of columns evaluated together.  Chunks grow 1, 2, 4, ... up
+# to it, so at most grid_size * _CHUNK cells are held at once.
 _CHUNK = 64
+# Largest grid accepted.  Where every column ceiling ties (phi = 0) the scan
+# visits all grid_size**2 cells, and a chunk holds grid_size * _CHUNK.
+MAX_GRID_SIZE = 10**5
 
 
 def _scan(config: SettingsConfig, grid_size: int):
@@ -88,28 +95,30 @@ def _scan(config: SettingsConfig, grid_size: int):
     |a - b| + |a - b'| >= |b - b'| and |a + b| + |a + b'| >= |b - b'|.  The
     sum of these ceilings bounds every cell of a v-column, so the columns are
     visited by falling ceiling and the scan stops once the next ceiling is
-    below the best cell found.  Every cell equal to the grid maximum lies in
-    a visited column, so value and argmax equal those of the full grid.
+    below the best cell found.  The chunks grow from one column to _CHUNK,
+    and the rule is checked before each.  Every cell equal to the grid
+    maximum lies in a visited column, so value and argmax equal those of the
+    full grid.  u and v range over the same Fibonacci grid.
     """
     if grid_size < 50:
         raise ValueError(f"grid_size must be >= 50, got {grid_size}")
-    u_grid = fibonacci_sphere(grid_size)
-    v_grid = fibonacci_sphere(grid_size)
+    if grid_size > MAX_GRID_SIZE:
+        raise ValueError(f"grid_size must be <= {MAX_GRID_SIZE}, got {grid_size}")
+    grid = fibonacci_sphere(grid_size)
     sine = config.kind.sine_coeff * math.sin(config.phi / 2.0)
     projections = []
     ceiling = np.zeros(grid_size)
     for (m, m_prime), alice_idx in zip(config.pairs, config.pairing):
-        m_b = v_grid @ m
-        m_b_prime = v_grid @ m_prime
-        projections.append(((u_grid @ config.alice[alice_idx])[:, None], m_b, m_b_prime))
+        m_b = grid @ m
+        m_b_prime = grid @ m_prime
+        projections.append(((grid @ config.alice[alice_idx])[:, None], m_b, m_b_prime))
         ceiling += 2.0 - np.abs(m_b - m_b_prime)
     ceiling += sine + _SLACK
     order = np.argsort(-ceiling, kind="stable")
     best, best_flat = -math.inf, 0
-    for start in range(0, grid_size, _CHUNK):
-        if ceiling[order[start]] < best:
-            break
-        cols = np.sort(order[start:start + _CHUNK])
+    start, width = 0, 1
+    while start < grid_size and ceiling[order[start]] >= best:
+        cols = np.sort(order[start:start + width])
         total = np.zeros((grid_size, cols.size))
         for m_a, m_b, m_b_prime in projections:
             total += pair_term_max(m_a, m_b[None, cols], m_b_prime[None, cols])
@@ -119,8 +128,9 @@ def _scan(config: SettingsConfig, grid_size: int):
         # lowest row-major index among equal cells, as argmax over the full grid
         if value > best or (value == best and flat < best_flat):
             best, best_flat = value, flat
+        start, width = start + width, min(2 * width, _CHUNK)
     ui, vi = divmod(best_flat, grid_size)
-    return best, u_grid[ui], v_grid[vi]
+    return best, grid[ui], grid[vi]
 
 
 def verify_bound(config: SettingsConfig, grid_size: int = 500) -> BoundReport:

@@ -465,6 +465,16 @@ class TestVerify:
         assert code == 2
         assert err.startswith("error:")
 
+    def test_grid_too_large_rejected_before_any_scan(self, capsys, monkeypatch):
+        scans = []
+        monkeypatch.setattr(oracle, "verify_bound", lambda *args: scans.append(args))
+        code, out, err = run(
+            capsys, "verify", "--inequality", "i26", "--phi", "30", "--grid-size", "1000000000000"
+        )
+        assert code == 2
+        assert err == f"error: grid-size: must be <= {oracle.MAX_GRID_SIZE}, got 1000000000000\n"
+        assert out == "" and scans == []
+
     def test_bad_later_phi_rejected_before_any_scan(self, capsys, monkeypatch):
         scans = []
         monkeypatch.setattr(oracle, "verify_bound", lambda *args: scans.append(args))

@@ -286,10 +286,16 @@ SCAN_DEGREES = (0.0, 10.0, 36.87, 44.42, 90.0, 180.0) + tuple(
 )
 
 
+# certify_grid traffic: grid 2000 at seeded angles in (0, 90) degrees, where
+# one to three columns reach the grid maximum's ceiling
+GRID_2000_DEGREES = tuple(np.random.default_rng(24).uniform(0.5, 90.0, 3))
+
+
 @pytest.fixture(params=[1, 7, 64])
 def chunk(request, monkeypatch):
-    # narrow chunks make the stopping rule and the cross-chunk tie-break
-    # decide the result; at 64 the first chunk holds every argmax here
+    # the cap of the chunks, which grow 1, 2, 4, ... up to it; at cap 1 every
+    # chunk is one column, so the stopping rule and the cross-chunk tie-break
+    # decide the result, and at 64 the schedule is the one verify_bound runs
     monkeypatch.setattr(oracle, "_CHUNK", request.param)
 
 
@@ -303,6 +309,11 @@ class TestPrunedScan:
 
     @pytest.mark.parametrize("tag,deg", [("i26", 0.0), ("i28", 44.42)])
     def test_canonical_matches_exhaustive_grid_2000(self, tag, deg):
+        assert_scan_matches_exhaustive(CANONICAL[tag](math.radians(deg)), 2000)
+
+    @pytest.mark.parametrize("deg", GRID_2000_DEGREES)
+    @pytest.mark.parametrize("tag", ["i26", "i28"])
+    def test_seeded_angles_match_exhaustive_grid_2000(self, tag, deg):
         assert_scan_matches_exhaustive(CANONICAL[tag](math.radians(deg)), 2000)
 
     @pytest.mark.parametrize("grid_size", [97, 300])
@@ -320,20 +331,51 @@ class TestPrunedScan:
         assert_scan_matches_exhaustive(one_pair(bisector, e_hat, math.radians(deg)), grid_size)
 
 
+def scan_peak_bytes(config, grid_size):
+    tracemalloc.start()
+    try:
+        verify_bound(config, grid_size)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestScanLimits:
     def test_verify_bound_grid_size_validation(self):
         with pytest.raises(ValueError):
             verify_bound(canonical_i26(1.0), 49)
 
+    def test_grid_size_above_limit_rejected_before_allocating(self, monkeypatch):
+        grids = []
+        monkeypatch.setattr(oracle, "fibonacci_sphere", grids.append)
+        with pytest.raises(ValueError, match=f"<= {oracle.MAX_GRID_SIZE}"):
+            verify_bound(canonical_i26(1.0), oracle.MAX_GRID_SIZE + 1)
+        with pytest.raises(ValueError):
+            verify_bound(canonical_i26(1.0), 10**12)
+        assert grids == []
+
     def test_peak_memory_bounded_at_grid_4000(self):
-        config = canonical_i28(math.radians(44.42))
-        tracemalloc.start()
-        try:
-            verify_bound(config, 4000)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 32 * 2**20
+        # the growing chunks hold one to three columns here (10.3 MB with
+        # a first chunk of 64)
+        assert scan_peak_bytes(canonical_i28(math.radians(44.42)), 4000) <= 4 * 2**20
+
+    def test_peak_memory_bounded_at_grid_4000_phi_zero(self):
+        # every column ceiling ties, so every chunk is scanned up to full width
+        assert scan_peak_bytes(canonical_i26(0.0), 4000) <= 32 * 2**20
+
+    @pytest.mark.parametrize("tag,deg", [("i26", 36.87), ("i28", 44.42)])
+    def test_grid_2000_evaluates_at_most_three_columns(self, tag, deg, monkeypatch):
+        # each chunk calls the kernel once per pair with its v-columns
+        widths = []
+
+        def counted(m_a, m_b, m_b_prime):
+            widths.append(np.shape(m_b)[-1])
+            return pair_term_max(m_a, m_b, m_b_prime)
+
+        monkeypatch.setattr(oracle, "pair_term_max", counted)
+        config = CANONICAL[tag](math.radians(deg))
+        verify_bound(config, 2000)
+        assert sum(widths) <= 3 * len(config.pairs)
 
     @given(
         unit_vectors(), unit_vectors(), unit_vectors(), unit_vectors(), unit_vectors(),
