@@ -13,9 +13,8 @@ does not certify the inequality bound.
 The scan is pruned without changing its result: each pair term is at most
 2 - |v.(m - m')| for any u, so a v-column whose summed ceilings fall below
 the best cell found cannot hold the grid maximum or a tie with it.  Columns
-are visited by falling ceiling in chunks that grow from one column to
-``_CHUNK``, so a scan whose best columns lead stops after a few of them.
-The grid size lies in [50, MAX_GRID_SIZE].
+are visited by falling ceiling, in chunks that grow from one column to
+``_CHUNK``.  The grid size lies in [50, MAX_GRID_SIZE].
 
 The Malus-type marginal rule is the standard construction for this model
 class; the paper relegates it to supplementary material.
@@ -80,8 +79,7 @@ def pair_term_max(m_a, m_b, m_b_prime):
 # about 1e-15 per pair, so with this slack no computed cell can reach above
 # its column's ceiling, and pruning a column below the best cell is exact.
 _SLACK = 1e-9
-# Widest chunk of columns evaluated together.  Chunks grow 1, 2, 4, ... up
-# to it, so at most grid_size * _CHUNK cells are held at once.
+# Chunks of columns grow 1, 2, 4, ... up to this; one holds <= grid_size * _CHUNK cells.
 _CHUNK = 64
 # Largest grid accepted.  Where every column ceiling ties (phi = 0) the scan
 # visits all grid_size**2 cells, and a chunk holds grid_size * _CHUNK.
@@ -94,11 +92,10 @@ def _scan(config: SettingsConfig, grid_size: int):
     Each pair term is at most 2 - |v.m - v.m'|, whatever u is, since
     |a - b| + |a - b'| >= |b - b'| and |a + b| + |a + b'| >= |b - b'|.  The
     sum of these ceilings bounds every cell of a v-column, so the columns are
-    visited by falling ceiling and the scan stops once the next ceiling is
-    below the best cell found.  The chunks grow from one column to _CHUNK,
-    and the rule is checked before each.  Every cell equal to the grid
-    maximum lies in a visited column, so value and argmax equal those of the
-    full grid.  u and v range over the same Fibonacci grid.
+    visited by falling ceiling, in chunks growing 1, 2, 4, ... up to _CHUNK,
+    and the scan stops before a chunk whose first ceiling is below the best
+    cell found.  Every cell equal to the grid maximum lies in a visited
+    column, so value and argmax equal those of the full grid.
     """
     if grid_size < 50:
         raise ValueError(f"grid_size must be >= 50, got {grid_size}")
