@@ -355,8 +355,7 @@ class TestScanLimits:
         assert grids == []
 
     def test_peak_memory_bounded_at_grid_4000(self):
-        # the growing chunks hold one to three columns here (10.3 MB with
-        # a first chunk of 64)
+        # the growing chunks stop after one to three columns here (0.7 MB)
         assert scan_peak_bytes(canonical_i28(math.radians(44.42)), 4000) <= 4 * 2**20
 
     def test_peak_memory_bounded_at_grid_4000_phi_zero(self):
