@@ -20,12 +20,8 @@ import json
 import math
 import sys
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING
 
 from . import inequalities
-
-if TYPE_CHECKING:
-    from . import expsim
 
 PUBLISHED_VALUES = (
     {"kind": "i26", "dataset": "raw", "value": 6.136, "sigma": 0.034},
@@ -103,13 +99,6 @@ class RunConfig:
                 raise UsageError(f"{name}: must lie in (0.5, 1], got {f}")
         if self.format not in ("csv", "json"):
             raise UsageError(f"format: must be csv or json, got {self.format!r}")
-
-    def readout_model(self) -> expsim.ReadoutModel:
-        from . import expsim
-
-        return expsim.ReadoutModel.from_fidelities(
-            self.f0_nuclear, self.f1_nuclear, self.f0_electron, self.f1_electron
-        )
 
     @classmethod
     def load(cls, args) -> "RunConfig":
@@ -290,7 +279,9 @@ def _experiment(config: RunConfig):
     from . import expsim, geometry, qstate
 
     state = qstate.werner(config.visibility, config.bell)
-    readout = config.readout_model()
+    readout = expsim.ReadoutModel(
+        config.f0_nuclear, config.f1_nuclear, config.f0_electron, config.f1_electron
+    )
     # the canonical bisectors do not depend on phi, so neither does the
     # adaptation: these are the bits adapt_to_state gives at every phi
     template = geometry.adapt_to_state(state.tensor, geometry.CANONICAL[config.inequality](0.0))

@@ -24,19 +24,20 @@ columns left to right, so the bits do not depend on the interpreter's
 ``multinomial`` call on the experiment's (2P, 4) probabilities, which
 draws the bits of one call per setting on the same generator.
 
-Readout confusion is applied to the outcome probabilities before
-sampling; this is equivalent in distribution to flipping sampled
-outcomes and exactly reproducible.  The one corrected estimator is the
-linear inversion g . f of a setting's reported frequencies f, with
-g = R^-T (1, -1, -1, 1): it is unbiased and unclipped, so a corrected
-correlation may lie outside [-1, 1], and its sigma propagates the
-multinomial noise through g by the delta method.
+A readout model is its four fidelities; its confusion R is applied to the
+outcome probabilities before sampling, which is equivalent in
+distribution to flipping sampled outcomes and exactly reproducible.  The
+one corrected estimator is the linear inversion g . f of a setting's
+reported frequencies f, with g = R^-T (1, -1, -1, 1): it is unbiased and
+unclipped, so a corrected correlation may lie outside [-1, 1], and its
+sigma propagates the multinomial noise through g by the delta method.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import numbers
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Optional
 
@@ -52,61 +53,48 @@ class ConditioningError(ValueError):
     """Raised when the readout confusion matrix is too ill-conditioned to invert."""
 
 
-def _check_confusion_2x2(r: np.ndarray, name: str) -> np.ndarray:
-    r = np.array(r, dtype=float)
-    if r.shape != (2, 2):
-        raise ValueError(f"{name} must be 2x2, got shape {r.shape}")
-    if not np.all((r >= 0.0) & (r <= 1.0)):
-        raise ValueError(f"{name} entries must lie in [0, 1]")
-    if not np.max(np.abs(r.sum(axis=0) - 1.0)) <= 1e-12:
-        raise ValueError(f"{name} columns must sum to 1")
-    return _frozen(r)
-
-
 @dataclass(frozen=True, eq=False)
 class ReadoutModel:
-    """Per-qubit confusion matrices; column j is P(reported | true = j).
+    """Readout fidelities of qubit a (Alice) and b (Bob); ``ReadoutModel()`` is perfect.
 
-    ``r_a`` and ``r_b`` are read-only copies, so the joint matrix and its
-    condition number, each computed once, cannot go stale.
+    f0 and f1 are the probabilities that a true 0 and a true 1 are reported
+    as such, so a qubit's confusion, column j P(reported | true = j), is
+    R = [[f0, 1 - f1], [1 - f0, f1]], the form of every column-stochastic
+    2x2 matrix.  ``joint``, np.kron(R_a, R_b) over outcomes ordered
+    (++, +-, -+, --), is built once and read-only.
     """
 
-    r_a: np.ndarray
-    r_b: np.ndarray
+    f0_a: float = 1.0
+    f1_a: float = 1.0
+    f0_b: float = 1.0
+    f1_b: float = 1.0
+    joint: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        r_a = _check_confusion_2x2(self.r_a, "r_a")
-        r_b = _check_confusion_2x2(self.r_b, "r_b")
-        object.__setattr__(self, "r_a", r_a)
-        object.__setattr__(self, "r_b", r_b)
-        object.__setattr__(self, "_joint", _frozen(np.kron(r_a, r_b)))
+        for name in ("f0_a", "f1_a", "f0_b", "f1_b"):
+            f = getattr(self, name)
+            # bool is an int; "not within range" rather than "outside it", so that NaN fails
+            if isinstance(f, bool) or not isinstance(f, numbers.Real) or not 0.0 <= f <= 1.0:
+                raise ValueError(f"{name} must be a number in [0, 1], got {f!r}")
+            object.__setattr__(self, name, float(f))
 
-    @classmethod
-    def from_fidelities(cls, f0_a: float, f1_a: float, f0_b: float, f1_b: float):
         def single(f0, f1):
             return np.array([[f0, 1.0 - f1], [1.0 - f0, f1]])
 
-        return cls(r_a=single(f0_a, f1_a), r_b=single(f0_b, f1_b))
-
-    @classmethod
-    def identity(cls):
-        return cls(r_a=np.eye(2), r_b=np.eye(2))
-
-    def joint(self) -> np.ndarray:
-        """4x4 confusion over outcomes ordered (++, +-, -+, --)."""
-        return self._joint
+        joint = np.kron(single(self.f0_a, self.f1_a), single(self.f0_b, self.f1_b))
+        object.__setattr__(self, "joint", _frozen(joint))
 
     @cached_property
     def _inverse(self) -> np.ndarray:
         """R^-1, once R's condition number is checked against
         MAX_CONDITION_NUMBER.  Computed on the first correction only, so a
         model never used to correct never raises ConditioningError."""
-        cond = float(np.linalg.cond(self._joint))
+        cond = float(np.linalg.cond(self.joint))
         if not cond <= MAX_CONDITION_NUMBER:
             raise ConditioningError(
                 f"confusion matrix condition number {cond:.3g} exceeds {MAX_CONDITION_NUMBER:.0e}"
             )
-        return _frozen(np.linalg.inv(self._joint))
+        return _frozen(np.linalg.inv(self.joint))
 
     @cached_property
     def _gain(self) -> np.ndarray:
@@ -134,7 +122,7 @@ def apply_confusion(model: ReadoutModel, p) -> np.ndarray:
     if not (np.abs(p.sum(axis=-1) - 1.0).max() <= 1e-9 and p.min() >= -1e-12):
         raise ValueError("probabilities must be nonnegative and sum to 1")
     # R @ p[:, None] per row; p @ R.T on the stack would round differently
-    return (model.joint() @ p[..., None])[..., 0]
+    return (model.joint @ p[..., None])[..., 0]
 
 
 def _corrected(model: ReadoutModel, f, shots):
@@ -279,7 +267,7 @@ def run_experiments(
     phis,
     shots_per_setting: int,
     seed: int,
-    readout: Optional[ReadoutModel] = None,
+    readout: ReadoutModel = ReadoutModel(),
     correct: bool = False,
     first_step: int = 0,
 ) -> ExperimentBlock:
@@ -291,15 +279,11 @@ def run_experiments(
     ``Generator(PCG64(SeedSequence([seed, step])))``, so a setting's counts
     depend on the settings drawn before it.  ``shots_per_setting``,
     ``seed`` and ``first_step`` must be ints (not bools), shots must lie in
-    [1, 2**53], and ``seed`` and every step in [0, 2**32).  The confusion
-    model is folded into the sampling distribution.  The inequality is
-    ``config.kind``, whose pair count the configuration must have.
+    [1, 2**53], and ``seed`` and every step in [0, 2**32).  The readout
+    model, perfect by default, is folded into the sampling distribution.
+    The inequality is ``config.kind``.
     """
     kind = config.kind
-    if len(config.pairs) != kind.num_pairs:
-        raise ValueError(
-            f"{kind.tag} needs {kind.num_pairs} correlation pairs, got {len(config.pairs)}"
-        )
     if not len(phis):
         raise ValueError("need at least one phi")
     for name, value in (("shots", shots_per_setting), ("seed", seed), ("step", first_step)):
@@ -313,8 +297,6 @@ def run_experiments(
     for name, value in (("seed", seed), ("step", first_step), ("step", last_step)):
         if not 0 <= value < 2**32:
             raise ValueError(f"{name} must lie in [0, 2**32), got {value}")
-    if readout is None:
-        readout = ReadoutModel.identity()
     settings = pair_stacks(config.u, config.e_hat, phis)
     per_experiment = 2 * len(config.pairs)
     n = np.tile(config.alice[np.repeat(config.pairing, 2)], (len(phis), 1))

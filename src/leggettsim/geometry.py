@@ -44,9 +44,8 @@ class SettingsConfig:
     ``pairs.reshape(-1, 3)`` lists the settings in setting order.
     ``pair_stacks`` gives the pairs at other angles.  ``pairing[i]`` is the
     0-based index of the Alice vector used with pair i.  ``kind`` is the
-    inequality the configuration tests; its JSON form is the tag.  The pair
-    count is not tied to ``kind.num_pairs``: the sampler checks that where
-    the inequality is evaluated.
+    inequality the configuration tests, whose pair count it must have; its
+    JSON form is the tag.
     """
 
     alice: np.ndarray
@@ -72,6 +71,10 @@ class SettingsConfig:
             raise ValueError(f"{len(self.e_hat)} difference directions for {len(self.u)} bisectors")
         if not len(self.u):
             raise ValueError("a configuration needs at least one setting pair")
+        if len(self.u) != self.kind.num_pairs:
+            raise ValueError(
+                f"{self.kind.tag} needs {self.kind.num_pairs} setting pairs, got {len(self.u)}"
+            )
         u, e_hat = [], []
         for i, (u_i, e_i) in enumerate(zip(self.u, self.e_hat)):
             try:

@@ -8,8 +8,8 @@ regions, visibility and fidelity thresholds and sigmas of violation.
 
 This module imports only the standard library, so the closed-form
 subcommands of the CLI start without numpy.  It therefore also holds the
-Werner-state fidelity conventions and the Bell-state names, which
-``qstate`` re-exports.
+Werner-state fidelity conventions and the Bell-state names; import them
+from here.
 """
 
 from __future__ import annotations

@@ -13,9 +13,6 @@ from functools import cached_property
 
 import numpy as np
 
-# defined in the numpy-free inequalities module and re-exported here
-from .inequalities import BELL_KINDS, amplitude_fidelity  # noqa: F401
-
 HERMITIAN_TOL = 1e-12
 TRACE_TOL = 1e-12
 PSD_TOL = 1e-10

@@ -1,9 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 from hypothesis import strategies as st
 
-from leggettsim.expsim import _corrected, run_experiments
+from leggettsim.expsim import ReadoutModel, _corrected, run_experiments
 from leggettsim.geometry import Z, SettingsConfig
 from leggettsim.inequalities import I26
 from leggettsim.qstate import _check_unit
@@ -25,9 +26,14 @@ def unit_vectors(draw):
     return v / norm
 
 
+# I26's sine coefficient on one pair, for configurations that only test
+# the geometry of a pair or the oracle scan
+ONE_PAIR = dataclasses.replace(I26, tag="one_pair", num_pairs=1)
+
+
 def one_pair(u, e_hat, phi):
     """A configuration of the one setting pair with bisector u, direction e_hat."""
-    return SettingsConfig(alice=(Z,), u=(u,), e_hat=(e_hat,), pairing=(0,), phi=phi, kind=I26)
+    return SettingsConfig(alice=(Z,), u=(u,), e_hat=(e_hat,), pairing=(0,), phi=phi, kind=ONE_PAIR)
 
 
 def correlation(state, n, m) -> float:
@@ -80,6 +86,6 @@ def corrected_correlation(model, f) -> float:
     return float(c[0])
 
 
-def run_one(state, config, shots, seed, readout=None, correct=False, step=0):
+def run_one(state, config, shots, seed, readout=ReadoutModel(), correct=False, step=0):
     """The block of one experiment of ``config`` at its own phi, at ``step``."""
     return run_experiments(state, config, [config.phi], shots, seed, readout, correct, step)

@@ -133,7 +133,7 @@ def test_criterion_8_readout_round_trip():
     rng = np.random.default_rng(77)
     ok = True
     for _ in range(100):
-        model = ReadoutModel.from_fidelities(*rng.uniform(0.9, 1.0, size=4))
+        model = ReadoutModel(*rng.uniform(0.9, 1.0, size=4))
         p = rng.dirichlet(np.ones(4))
         recovered = corrected_correlation(model, apply_confusion(model, p))
         if not abs(recovered - (p[0] - p[1] - p[2] + p[3])) <= 1e-10:

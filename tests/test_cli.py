@@ -319,7 +319,7 @@ class TestSweep:
         )
         state = werner(0.98, "phi_minus")
         config = adapt_to_state(correlation_tensor(state), canonical_i26(math.radians(30)))
-        readout = ReadoutModel.from_fidelities(0.97, 0.95, 0.96, 1.0)
+        readout = ReadoutModel(0.97, 0.95, 0.96, 1.0)
         counts = set()
         for i, row in enumerate(rows):
             result = run_one(state, config, 2000, seed=11, readout=readout, correct=True, step=i)
@@ -428,7 +428,7 @@ class TestSweepBlocks:
         rows = sweep_rows(capsys, *self.ARGV)
         assert len(rows) == 130
         state = werner(0.98, "phi_minus")
-        readout = ReadoutModel.from_fidelities(0.97, 0.95, 0.96, 1.0)
+        readout = ReadoutModel(0.97, 0.95, 0.96, 1.0)
         for k, row in enumerate(rows):
             config = adapt_to_state(state.tensor, canonical_i28(math.radians(float(row["phi_deg"]))))
             result = run_one(state, config, 300, seed=5, readout=readout, correct=True, step=k)

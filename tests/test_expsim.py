@@ -30,40 +30,66 @@ from leggettsim.qstate import (
 PHI = math.radians(36.87)
 
 
+FIDELITIES = ("f0_a", "f1_a", "f0_b", "f1_b")
+
+
 def adapted_config(state, phi=PHI):
     return adapt_to_state(correlation_tensor(state), canonical_i26(phi))
 
 
+def confusion_2x2(f0, f1):
+    """One qubit's confusion matrix, column j P(reported | true = j)."""
+    return np.array([[f0, 1.0 - f1], [1.0 - f0, f1]])
+
+
 class TestReadoutModel:
     def test_identity(self):
-        assert np.allclose(ReadoutModel.identity().joint(), np.eye(4))
+        model = ReadoutModel()
+        assert (model.f0_a, model.f1_a, model.f0_b, model.f1_b) == (1.0, 1.0, 1.0, 1.0)
+        assert model.joint.tobytes() == np.eye(4).tobytes()
 
     def test_from_fidelities_columns(self):
-        model = ReadoutModel.from_fidelities(0.99, 0.95, 1.0, 1.0)
-        assert np.allclose(model.r_a[:, 0], [0.99, 0.01])
-        assert np.allclose(model.r_a[:, 1], [0.05, 0.95])
-        assert np.allclose(model.joint().sum(axis=0), 1.0, atol=1e-12)
+        model = ReadoutModel(0.99, 0.95, 1.0, 1.0)
+        assert np.allclose(model.joint[:, 0], [0.99, 0.0, 0.01, 0.0])
+        assert np.allclose(model.joint[:, 3], [0.0, 0.05, 0.0, 0.95])
+        assert np.allclose(model.joint.sum(axis=0), 1.0, atol=1e-12)
+        keywords = ReadoutModel(f0_a=0.99, f1_a=0.95, f0_b=1.0, f1_b=1.0)
+        assert keywords.joint.tobytes() == model.joint.tobytes()
 
     def test_invalid_entries(self):
-        with pytest.raises(ValueError):
-            ReadoutModel(r_a=np.array([[1.2, 0], [-0.2, 1]]), r_b=np.eye(2))
+        for name in FIDELITIES:
+            for value in (-1e-12, -0.5, 1.0 + 1e-12, 2.0, True, "0.9", None):
+                with pytest.raises(ValueError, match=rf"^{name} must be a number in \[0, 1\]"):
+                    ReadoutModel(**{name: value})
 
-    @pytest.mark.parametrize("name", ["r_a", "r_b"])
-    def test_matrices_read_only(self, name):
-        model = ReadoutModel.from_fidelities(0.97, 0.95, 0.96, 0.94)
-        with pytest.raises(ValueError):
-            getattr(model, name)[0, 0] = 0.5
-        with pytest.raises(ValueError):
-            model.joint()[0, 0] = 0.5
+    @pytest.mark.parametrize("value", [0, 1, 0.5, np.float64(0.97), np.int64(1)])
+    def test_fidelities_kept_as_floats(self, value):
+        model = ReadoutModel(f1_b=value)
+        assert type(model.f1_b) is float and model.f1_b == value
 
-    def test_caller_matrices_not_frozen(self):
-        r_a, r_b = np.eye(2), np.eye(2)
-        ReadoutModel(r_a=r_a, r_b=r_b)
-        assert r_a.flags.writeable and r_b.flags.writeable
+    def test_joint_read_only(self):
+        model = ReadoutModel(0.97, 0.95, 0.96, 0.94)
+        with pytest.raises(ValueError, match="read-only"):
+            model.joint[0, 0] = 0.5
+        for name in ("joint", *FIDELITIES):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(model, name, 0.5)
 
     def test_joint_is_kron(self):
-        model = ReadoutModel.from_fidelities(0.97, 0.95, 0.96, 0.94)
-        assert model.joint().tobytes() == np.kron(model.r_a, model.r_b).tobytes()
+        # the bits of np.kron of the two single-qubit matrices, as the
+        # readout-corrected outputs were pinned with
+        rng = np.random.default_rng(25)
+        for _ in range(100):
+            f = rng.uniform(0.0, 1.0, size=4)
+            expected = np.kron(confusion_2x2(f[0], f[1]), confusion_2x2(f[2], f[3]))
+            assert ReadoutModel(*f).joint.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("f", [0.5, 0.5 + 1e-8, 0.5 - 1e-8])
+    def test_near_half_not_corrected(self, f):
+        # R is singular at 0.5, and near it too ill-conditioned to invert
+        model = ReadoutModel(f, f, 0.97, 0.95)
+        with pytest.raises(ConditioningError, match="condition number"):
+            _corrected(model, np.full((1, 4), 0.25), 1)
 
 
 class TestValueTypes:
@@ -75,7 +101,7 @@ class TestValueTypes:
             lambda: canonical_i26(0.5),
             lambda: werner(0.9),
             lambda: werner(0.9).tensor,
-            lambda: ReadoutModel.from_fidelities(0.97, 0.95, 0.96, 0.94),
+            lambda: ReadoutModel(0.97, 0.95, 0.96, 0.94),
             lambda: verify_bound(canonical_i26(0.5), 50),
             lambda: run_experiments(werner(0.9), canonical_i26(0.5), [0.5], 10, 0, correct=True),
             lambda: run_one(werner(0.9), canonical_i26(0.5), 10, 0, correct=True).raw,
@@ -92,39 +118,39 @@ class TestValueTypes:
 class TestConfusion:
     def test_identity_passthrough(self):
         p = np.array([0.4, 0.1, 0.2, 0.3])
-        assert np.allclose(apply_confusion(ReadoutModel.identity(), p), p)
+        assert np.allclose(apply_confusion(ReadoutModel(), p), p)
 
     def test_column_readoff(self):
-        model = ReadoutModel.from_fidelities(0.99, 0.95, 1.0, 1.0)
+        model = ReadoutModel(0.99, 0.95, 1.0, 1.0)
         out = apply_confusion(model, [1.0, 0.0, 0.0, 0.0])
         assert np.allclose(out, [0.99, 0.0, 0.01, 0.0], atol=1e-12)
 
     def test_fully_mixing(self):
-        model = ReadoutModel.from_fidelities(0.5, 0.5, 0.5, 0.5)
+        model = ReadoutModel(0.5, 0.5, 0.5, 0.5)
         out = apply_confusion(model, [0.7, 0.1, 0.1, 0.1])
         assert np.allclose(out, 0.25, atol=1e-12)
 
     def test_sum_preserved(self):
-        model = ReadoutModel.from_fidelities(0.97, 0.93, 0.96, 0.91)
+        model = ReadoutModel(0.97, 0.93, 0.96, 0.91)
         out = apply_confusion(model, [0.5, 0.0, 0.0, 0.5])
         assert out.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_malformed_input(self):
         with pytest.raises(ValueError):
-            apply_confusion(ReadoutModel.identity(), [0.5, 0.5, 0.5, 0.5])
+            apply_confusion(ReadoutModel(), [0.5, 0.5, 0.5, 0.5])
+
+    def test_nan_model_rejected(self):
+        # NaN fails every comparison, so it must not pass the range check
+        for name in FIDELITIES:
+            with pytest.raises(ValueError, match=f"^{name} must be a number"):
+                ReadoutModel(**{name: math.nan})
 
     @pytest.mark.parametrize(
         "p", [[np.nan, 0.0, 0.0, 1.0], [[0.25] * 4, [np.nan, 0.5, 0.5, 0.0]]]
     )
     def test_nan_rejected(self, p):
         with pytest.raises(ValueError, match="sum to 1"):
-            apply_confusion(ReadoutModel.identity(), p)
-
-    def test_nan_model_rejected(self):
-        with pytest.raises(ValueError):
-            ReadoutModel(r_a=np.array([[np.nan, 0.0], [0.0, 1.0]]), r_b=np.eye(2))
-        with pytest.raises(ValueError):
-            ReadoutModel.from_fidelities(np.nan, 1.0, 1.0, 1.0)
+            apply_confusion(ReadoutModel(), p)
 
 
 def outcome_correlation(p) -> float:
@@ -137,20 +163,20 @@ class TestCorrectReadout:
 
     def test_identity(self):
         p = np.array([0.3, 0.2, 0.1, 0.4])
-        model = ReadoutModel.identity()
+        model = ReadoutModel()
         c, _, clipped = _corrected(model, p[None], 1)
         assert model._gain.tolist() == [1.0, -1.0, -1.0, 1.0]
         assert c.tolist() == [outcome_correlation(p)] and clipped.tolist() == [False]
 
     def test_round_trip(self):
-        model = ReadoutModel.from_fidelities(0.97, 0.93, 0.97, 0.93)
+        model = ReadoutModel(0.97, 0.93, 0.97, 0.93)
         p_true = np.array([0.5, 0.0, 0.0, 0.5])
         recovered = corrected_correlation(model, apply_confusion(model, p_true))
         assert recovered == pytest.approx(1.0, abs=1e-10)
 
     def test_nan_rejected(self):
         # NaN frequencies give a NaN corrected value, which the range check rejects
-        model = ReadoutModel.from_fidelities(0.97, 0.95, 0.96, 0.94)
+        model = ReadoutModel(0.97, 0.95, 0.96, 0.94)
         f = np.full((6, 4), 0.25)
         f[4] = [np.nan, 0.0, 0.0, 1.0]
         c, sigma, _ = _corrected(model, f, 100)
@@ -158,13 +184,13 @@ class TestCorrectReadout:
             _estimates(I26, np.zeros(1), c, sigma, model._gain)
 
     def test_singular_model(self):
-        model = ReadoutModel.from_fidelities(0.5, 0.5, 0.5, 0.5)
+        model = ReadoutModel(0.5, 0.5, 0.5, 0.5)
         with pytest.raises(ConditioningError):
             _corrected(model, np.full((1, 4), 0.25), 1)
 
     def test_clipping_only_flagged(self):
         # R^-1 f leaves the simplex; the value g . f = g_0 = 1/0.9**2 is kept
-        model = ReadoutModel.from_fidelities(0.95, 0.95, 0.95, 0.95)
+        model = ReadoutModel(0.95, 0.95, 0.95, 0.95)
         c, _, clipped = _corrected(model, np.array([[1.0, 0.0, 0.0, 0.0]]), 1)
         assert clipped.tolist() == [True]
         assert c[0] == model._gain[0] == pytest.approx(1.0 / 0.81, rel=1e-12)
@@ -173,7 +199,7 @@ class TestCorrectReadout:
         rng = np.random.default_rng(5)
         for _ in range(100):
             f = rng.uniform(0.9, 1.0, size=4)
-            model = ReadoutModel.from_fidelities(*f)
+            model = ReadoutModel(*f)
             p = rng.dirichlet(np.ones(4))
             recovered = corrected_correlation(model, apply_confusion(model, p))
             assert recovered == pytest.approx(outcome_correlation(p), abs=1e-10)
@@ -306,7 +332,7 @@ class TestRunExperiment:
     def test_determinism(self):
         state = werner(0.95)
         config = adapted_config(state)
-        model = ReadoutModel.from_fidelities(0.97, 0.95, 0.96, 0.94)
+        model = ReadoutModel(0.97, 0.95, 0.96, 0.94)
         a = run_one(state, config, 10**4, seed=5, readout=model, correct=True)
         b = run_one(state, config, 10**4, seed=5, readout=model, correct=True)
         assert a.raw.value[0] == b.raw.value[0]
@@ -328,7 +354,7 @@ class TestRunExperiment:
     def test_correction_recovers_ideal(self):
         state = bell_state("phi_minus")
         config = adapted_config(state)
-        model = ReadoutModel.from_fidelities(0.95, 0.92, 0.96, 0.93)
+        model = ReadoutModel(0.95, 0.92, 0.96, 0.93)
         result = run_one(state, config, 10**6, seed=17, readout=model, correct=True)
         for i, (_, _, n, m) in enumerate(reference_settings(config)):
             p_ideal = joint_probabilities(state, n, m)
@@ -339,7 +365,7 @@ class TestRunExperiment:
     def test_symmetric_confusion_shrinks_raw(self):
         state = bell_state("phi_minus")
         config = adapted_config(state)
-        model = ReadoutModel.from_fidelities(0.95, 0.95, 0.95, 0.95)
+        model = ReadoutModel(0.95, 0.95, 0.95, 0.95)
         raw_mean = corr_mean = 0.0
         for seed in range(100):
             result = run_one(state, config, 2000, seed=seed, readout=model, correct=True)
@@ -355,14 +381,14 @@ class TestRunExperiment:
 
     def test_ill_conditioned_model_without_correction(self):
         state = werner(0.9)
-        model = ReadoutModel.from_fidelities(0.5, 0.5, 0.5, 0.5)
+        model = ReadoutModel(0.5, 0.5, 0.5, 0.5)
         result = run_one(state, adapted_config(state), 1000, seed=3, readout=model)
         assert result.corrected is None
         assert result.counts.shape == (1, 6, 4)
 
     def test_ill_conditioned_model_with_correction(self):
         state = werner(0.9)
-        model = ReadoutModel.from_fidelities(0.5, 0.5, 0.5, 0.5)
+        model = ReadoutModel(0.5, 0.5, 0.5, 0.5)
         with pytest.raises(ConditioningError):
             run_one(state, adapted_config(state), 1000, seed=3, readout=model, correct=True)
 
@@ -376,7 +402,7 @@ class TestRunExperiment:
 
         monkeypatch.setattr(np.linalg, "cond", counting)
         state = werner(0.9)
-        model = ReadoutModel.from_fidelities(0.97, 0.95, 0.96, 0.94)
+        model = ReadoutModel(0.97, 0.95, 0.96, 0.94)
         for seed in range(3):
             run_one(state, adapted_config(state), 1000, seed=seed, readout=model, correct=True)
         assert len(calls) == 1
@@ -400,7 +426,7 @@ class TestRunExperiment:
         # settings}, as a check on the clip condition
         expected_clips = {(0.99, 0.6, 0.99, 0.6): {79: 1}}.get(fidelities, {})
         state = werner(0.98)
-        model = ReadoutModel.from_fidelities(*fidelities)
+        model = ReadoutModel(*fidelities)
         values, sigmas, clips = calibration_runs(state, adapted_config(state), model, 20000, 200)
         for name in values:
             ratio = float(np.std(values[name], ddof=1) / np.mean(sigmas[name]))
@@ -414,7 +440,7 @@ class TestRunExperiment:
         # value by -0.83 sigma and shrink its spread to 0.72 sigma
         phi = math.radians(10.0)
         state = werner(1.0)
-        model = ReadoutModel.from_fidelities(0.97, 0.95, 0.96, 0.94)
+        model = ReadoutModel(0.97, 0.95, 0.96, 0.94)
         values, sigmas, clips = calibration_runs(
             state, adapted_config(state, phi), model, 10**4, 400
         )
@@ -433,11 +459,9 @@ class TestRunExperiment:
         assert result.corrected.c_sigma == pytest.approx(result.raw.c_sigma, rel=1e-12)
 
     def test_wrong_pair_count(self):
-        # three pairs tagged with the four-pair inequality
-        state = werner(0.9)
-        config = dataclasses.replace(adapted_config(state), kind=I28)
-        with pytest.raises(ValueError, match="i28 needs 4 correlation pairs, got 3"):
-            run_one(state, config, 100, seed=0)
+        # three pairs tagged with the four-pair inequality never reach the sampler
+        with pytest.raises(ValueError, match="^i28 needs 4 setting pairs, got 3$"):
+            dataclasses.replace(adapted_config(werner(0.9)), kind=I28)
 
 
 def calibration_runs(state, config, model, shots, seeds):
@@ -485,7 +509,7 @@ def referencecorrect_readout(model, p_measured):
     Its flag is the reference for clip events, and where nothing clips its
     correlation equals the linear inversion's.
     """
-    p = np.linalg.solve(model.joint(), p_measured)
+    p = np.linalg.solve(model.joint, p_measured)
     clipped = bool(np.any(p < -1e-12))
     p = np.clip(p, 0.0, None)
     return p / p.sum(), clipped
@@ -499,7 +523,7 @@ def reference_estimate_correlation(counts):
 
 def reference_gain(model):
     """g = R^-T (1, -1, -1, 1), the signed rows of R^-1 added left to right."""
-    inverse = np.linalg.inv(model.joint())
+    inverse = np.linalg.inv(model.joint)
     return (inverse[0] - inverse[1] - inverse[2] + inverse[3]).tolist()
 
 
@@ -528,7 +552,7 @@ def reference_experiment(state, config, shots, seed, readout, correct, step):
     # one fresh stream per experiment, drawn from one setting at a time
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, step])))
     for setting_id, alice_idx, n, m in reference_settings(config):
-        p_phys = readout.joint() @ reference_joint_probabilities(state, n, m)
+        p_phys = readout.joint @ reference_joint_probabilities(state, n, m)
         counts = rng.multinomial(shots, p_phys / p_phys.sum())
         c_raw, sigma_raw = reference_estimate_correlation(counts)
         c_corr = sigma_corr = None
@@ -605,7 +629,7 @@ def random_config(rng, kind):
 
 
 def random_readout(rng):
-    return ReadoutModel.from_fidelities(*rng.uniform(0.75, 1.0, size=4))
+    return ReadoutModel(*rng.uniform(0.75, 1.0, size=4))
 
 
 # a block of 64 experiments is one sweep block
@@ -653,7 +677,7 @@ class TestStackedMatchesReference:
                 assert row.tobytes() == reference_joint_probabilities(state, n[i], m[i]).tobytes()
                 row = apply_confusion(readout, probs[i])
                 assert row.tobytes() == reported[i].tobytes()
-                assert row.tobytes() == (readout.joint() @ probs[i]).tobytes()
+                assert row.tobytes() == (readout.joint @ probs[i]).tobytes()
                 row = _corrected(readout, counts[i : i + 1] / 30, 30)
                 assert [x.tolist() for x in row] == [[c_corr[i]], [sigma_corr[i]], [clipped[i]]]
                 ref = reference_corrected(readout, counts[i] / 30, 30)
@@ -717,7 +741,7 @@ class TestStackedMatchesReference:
     def test_experiments_equal_blocks_of_one(self):
         state = werner(0.9)
         config = adapted_config(state)
-        readout = ReadoutModel.from_fidelities(0.97, 0.95, 0.96, 0.94)
+        readout = ReadoutModel(0.97, 0.95, 0.96, 0.94)
         phis = [0.0, PHI, 1.0, math.pi]
         block = run_experiments(state, config, phis, 500, 3, readout, True, first_step=9)
         for k, phi in enumerate(phis):
@@ -745,7 +769,7 @@ class TestStackedMatchesReference:
             run_experiments(state, adapted_config(state), [0.5, phi], 10, 0)
 
     def test_single_call_shapes(self):
-        state, readout = random_state(np.random.default_rng(3)), ReadoutModel.identity()
+        state, readout = random_state(np.random.default_rng(3)), ReadoutModel()
         assert joint_probabilities(state, [0, 0, 1], [1, 0, 0]).shape == (4,)
         assert apply_confusion(readout, [0.25] * 4).shape == (4,)
         assert joint_probabilities(state, np.eye(3), np.eye(3)).shape == (3, 4)
@@ -809,7 +833,7 @@ class TestEstimates:
 
     def test_corrected_domain(self):
         # a corrected C is g . f, a convex combination of the gain's entries
-        gain = ReadoutModel.from_fidelities(0.95, 0.95, 0.95, 0.95)._gain
+        gain = ReadoutModel(0.95, 0.95, 0.95, 0.95)._gain
         c = np.zeros(6)
         c[4] = 1.2
         assert _estimates(I26, np.zeros(1), c, np.full(6, 0.1), gain).c[0, 4] == 1.2

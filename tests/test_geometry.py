@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import one_pair, unit_vectors
+from conftest import ONE_PAIR, one_pair, unit_vectors
 from leggettsim import geometry
 from leggettsim.geometry import (
     _TETRA,
@@ -277,6 +277,17 @@ class TestSettingsConfigValidation:
         with pytest.raises(ValueError, match="^2 difference directions for 3 bisectors$"):
             dataclasses.replace(canonical_i26(0.5), e_hat=(X, Y))
 
+    @pytest.mark.parametrize("tag, count", [("i26", 1), ("i26", 4), ("i28", 3), ("i28", 5)])
+    def test_pair_count_of_kind(self, tag, count):
+        # the oracle would certify such an expression against the wrong bound
+        kind = KINDS[tag]
+        message = f"^{tag} needs {kind.num_pairs} setting pairs, got {count}$"
+        with pytest.raises(ValueError, match=message):
+            SettingsConfig(
+                alice=(Z,), u=(Z,) * count, e_hat=(X,) * count, pairing=(0,) * count, phi=0.5,
+                kind=kind,
+            )
+
     @pytest.mark.parametrize(
         "u, e_hat, index, message",
         [
@@ -367,6 +378,22 @@ class TestSerialization:
         data = canonical_i26(0.5).to_json_dict()
         data["pairing"] = [0, 1, 2]
         with pytest.raises(ValueError, match=r"pairing \[0, 1, 2\]: expected int indices in 1\.\.2"):
+            SettingsConfig.from_json_dict(data)
+
+    @pytest.mark.parametrize("build", [canonical_i26, canonical_i28])
+    def test_pair_dropped(self, build):
+        config = build(0.5)
+        data = config.to_json_dict()
+        del data["pairs"][-1], data["pairing"][-1]
+        tag, count = config.kind.tag, config.kind.num_pairs
+        message = f"^settings config: {tag} needs {count} setting pairs, got {count - 1}$"
+        with pytest.raises(ValueError, match=message):
+            SettingsConfig.from_json_dict(data)
+
+    def test_kind_of_other_pair_count(self):
+        data = canonical_i26(0.5).to_json_dict()
+        data["kind"] = "i28"
+        with pytest.raises(ValueError, match="^settings config: i28 needs 4 setting pairs, got 3$"):
             SettingsConfig.from_json_dict(data)
 
     def test_unknown_kind(self):
@@ -511,7 +538,7 @@ class TestReadOnly:
     def test_caller_vectors_copied(self):
         u, e_hat, n = Z.copy(), X.copy(), Y.copy()
         config = SettingsConfig(
-            alice=(n,), u=(u,), e_hat=(e_hat,), pairing=(0,), phi=0.5, kind=KINDS["i26"]
+            alice=(n,), u=(u,), e_hat=(e_hat,), pairing=(0,), phi=0.5, kind=ONE_PAIR
         )
         assert u.flags.writeable and e_hat.flags.writeable and n.flags.writeable
         u[0] = e_hat[0] = n[0] = 7.0

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -265,7 +266,11 @@ def random_unit(rng):
 
 
 def random_config(seed):
-    """Random Alice vectors, bisectors, difference directions and pairing."""
+    """Random Alice vectors, bisectors, difference directions and pairing.
+
+    The kind has the sine coefficient of i26 or i28 and the random pair
+    count, so its tag and bound are those of neither.
+    """
     rng = np.random.default_rng(seed)
     phi = rng.uniform(0.0, math.pi)
     alice = tuple(random_unit(rng) for _ in range(rng.integers(1, 4)))
@@ -277,6 +282,7 @@ def random_config(seed):
         e_hats.append(e_hat / np.linalg.norm(e_hat))
     pairing = tuple(int(rng.integers(len(alice))) for _ in us)
     kind = (KINDS["i26"], KINDS["i28"])[int(rng.integers(2))]
+    kind = dataclasses.replace(kind, tag=f"{kind.tag}_{len(us)}_pairs", num_pairs=len(us))
     return SettingsConfig(alice=alice, u=us, e_hat=e_hats, pairing=pairing, phi=phi, kind=kind)
 
 

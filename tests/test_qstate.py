@@ -5,13 +5,12 @@ from hypothesis import strategies as st
 
 from conftest import correlation, unit_vectors
 from leggettsim import qstate
+from leggettsim.inequalities import BELL_KINDS, amplitude_fidelity
 from leggettsim.qstate import (
-    BELL_KINDS,
     UNIT_TOL,
     CorrelationTensor,
     InvalidStateError,
     TwoQubitState,
-    amplitude_fidelity,
     bell_state,
     correlation_tensor,
     joint_probabilities,
