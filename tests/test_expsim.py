@@ -67,13 +67,16 @@ class TestReadoutModel:
         model = ReadoutModel(f1_b=value)
         assert type(model.f1_b) is float and model.f1_b == value
 
-    def test_joint_read_only(self):
+    @pytest.mark.parametrize("name", ["r_a", "r_b"])
+    def test_matrices_read_only(self, name):
+        # a qubit's matrix is its f0 and f1; neither they nor joint can change
+        qubit = name[-1]
         model = ReadoutModel(0.97, 0.95, 0.96, 0.94)
         with pytest.raises(ValueError, match="read-only"):
             model.joint[0, 0] = 0.5
-        for name in ("joint", *FIDELITIES):
+        for field_name in ("joint", f"f0_{qubit}", f"f1_{qubit}"):
             with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(model, name, 0.5)
+                setattr(model, field_name, 0.5)
 
     def test_joint_is_kron(self):
         # the bits of np.kron of the two single-qubit matrices, as the
