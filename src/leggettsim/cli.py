@@ -57,7 +57,6 @@ class UsageError(ValueError):
 @dataclass
 class RunConfig:
     inequality: str = "i26"
-    bell: str = "phi_minus"
     visibility: float = 1.0
     phi_start: float = 0.0
     phi_stop: float = 90.0
@@ -77,8 +76,6 @@ class RunConfig:
             _check_type(f.name, getattr(self, f.name), type(f.default))
         if self.inequality not in inequalities.KINDS:
             raise UsageError(f"inequality: unknown kind {self.inequality!r}")
-        if self.bell not in inequalities.BELL_KINDS:
-            raise UsageError(f"bell: unknown Bell state {self.bell!r}")
         if not 0.0 <= self.visibility <= 1.0:
             raise UsageError(f"visibility: must lie in [0, 1], got {self.visibility}")
         if not 0.0 <= self.phi_start <= self.phi_stop <= 180.0:
@@ -270,7 +267,7 @@ def _sweep_phi_deg(config: RunConfig, i: int) -> float:
 def _experiment(config: RunConfig):
     """Return run(phis, first_step=0), the configured sampled experiments.
 
-    The Werner state, its correlation tensor, the readout model and the
+    The Werner state of phi_minus, its correlation tensor, the readout model and the
     canonical configuration adapted to the state are built and checked
     once; each call samples that configuration at each phi (radians) as one
     ``run_experiments`` block, experiment j with the streams of sweep step
@@ -278,7 +275,7 @@ def _experiment(config: RunConfig):
     """
     from . import expsim, geometry, qstate
 
-    state = qstate.werner(config.visibility, config.bell)
+    state = qstate.werner(config.visibility)
     readout = expsim.ReadoutModel(
         config.f0_nuclear, config.f1_nuclear, config.f0_electron, config.f1_electron
     )
@@ -424,7 +421,6 @@ class _Parser(argparse.ArgumentParser):
 def _add_run_options(sub):
     sub.add_argument("--config", default=None, help="JSON config file")
     sub.add_argument("--inequality", choices=tuple(inequalities.KINDS), default=None)
-    sub.add_argument("--bell", choices=inequalities.BELL_KINDS, default=None)
     sub.add_argument("--visibility", type=float, default=None)
     sub.add_argument("--shots", type=int, default=None)
     sub.add_argument("--seed", type=int, default=None)

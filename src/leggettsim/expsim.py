@@ -15,22 +15,24 @@ A block stays in read-only arrays from the angles to the numbers
 (``ExperimentBlock``): settings as (K, P, 2, 3), counts as (K, 2P, 4), and
 for the raw and the corrected data (``Estimates``) per-setting
 correlations as (K, 2P), pair terms as (K, P) and values, sigmas and
-sigmas of violation as (K,).  ``joint_probabilities``,
-``apply_confusion`` and ``estimate_correlation`` each take either one row
-or the whole stack of S = 2PK settings, and row i of a stacked call has
-the bits of the call on row i alone.  Sums over settings and pairs add
-columns left to right, so the bits do not depend on the interpreter's
-``sum``.  Only the draws loop, once per experiment: one
-``multinomial`` call on the experiment's (2P, 4) probabilities, which
-draws the bits of one call per setting on the same generator.
+sigmas of violation as (K,).  ``joint_probabilities`` and
+``apply_confusion`` each take either one row or the whole stack of
+S = 2PK settings, and ``estimate`` takes the (S, 4) stack of counts; row
+i of a stacked call has the bits of the call on row i alone.  Sums over
+outcomes, settings and pairs add columns left to right, so the bits do
+not depend on the interpreter's ``sum``.  Only the draws loop, once per
+experiment: one ``multinomial`` call on the experiment's (2P, 4)
+probabilities, which draws the bits of one call per setting on the same
+generator.
 
 A readout model is its four fidelities; its confusion R is applied to the
 outcome probabilities before sampling, which is equivalent in
-distribution to flipping sampled outcomes and exactly reproducible.  The
-one corrected estimator is the linear inversion g . f of a setting's
-reported frequencies f, with g = R^-T (1, -1, -1, 1): it is unbiased and
-unclipped, so a corrected correlation may lie outside [-1, 1], and its
-sigma propagates the multinomial noise through g by the delta method.
+distribution to flipping sampled outcomes and exactly reproducible.  Raw
+and corrected data have one estimator, ``estimate``: a gain vector g
+applied to each setting's counts over their own total, with its
+multinomial sigma.  Raw data use g = (1, -1, -1, 1); corrected data use
+g = R^-T (1, -1, -1, 1), the linear inversion, which is unbiased and
+unclipped, so a corrected correlation may lie outside [-1, 1].
 """
 
 from __future__ import annotations
@@ -104,20 +106,15 @@ class ReadoutModel:
         return _frozen(inverse[0] - inverse[1] - inverse[2] + inverse[3])
 
 
-def _stack_of_4(x, name: str) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.ndim not in (1, 2) or x.shape[-1] != 4:
-        raise ValueError(f"expected 4 {name} or a stack of them, got shape {x.shape}")
-    return x
-
-
 def apply_confusion(model: ReadoutModel, p) -> np.ndarray:
     """Reported-outcome distribution R p for true distribution p.
 
     p is one distribution, shape (4,), or S of them stacked as (S, 4); row
     i of the result has the bits of the call on row i alone.
     """
-    p = _stack_of_4(p, "probabilities")
+    p = np.asarray(p, dtype=float)
+    if p.ndim not in (1, 2) or p.shape[-1] != 4:
+        raise ValueError(f"expected 4 probabilities or a stack of them, got shape {p.shape}")
     # "not within tolerance" rather than "beyond it", so that NaN fails
     if not (np.abs(p.sum(axis=-1) - 1.0).max() <= 1e-9 and p.min() >= -1e-12):
         raise ValueError("probabilities must be nonnegative and sum to 1")
@@ -125,44 +122,32 @@ def apply_confusion(model: ReadoutModel, p) -> np.ndarray:
     return (model.joint @ p[..., None])[..., 0]
 
 
-def _corrected(model: ReadoutModel, f, shots):
-    """Readout-corrected correlations, their sigmas and clip flags.
+def estimate(counts, gain):
+    """Correlations and their sigmas from an (S, 4) stack of outcome counts.
 
-    f is an (S, 4) stack of reported frequencies of ``shots`` draws each.
-    The corrected correlation is the linear inversion c = g . f with
-    g = R^-T (1, -1, -1, 1), unclipped, so it is unbiased and may lie
-    outside [-1, 1].  f has the multinomial covariance
-    (diag(f) - f f^T)/N, so the delta-method variance of c is
-    (sum_j g_j^2 f_j - c^2)/N; see Maciejewski, Zimboras and Oszmaniec,
-    Quantum 4, 257 (2020).  The four terms are added left to right.  A
-    setting is flagged as clipped where R^-1 f, its inverted distribution,
-    has an entry below -1e-12, that is, left the probability simplex.
+    A setting's correlation is c = (sum_j g_j n_j)/N for its counts n and
+    their total N, with ``gain`` g: (1, -1, -1, 1) for raw data, and
+    R^-T (1, -1, -1, 1) for readout-corrected data, the unclipped linear
+    inversion, so a corrected correlation is unbiased and may lie outside
+    [-1, 1].  The counts are multinomial, so the variance of c is
+    ((sum_j g_j^2 n_j)/N - c^2)/N; for corrected data this is the
+    delta-method sigma of Maciejewski, Zimboras and Oszmaniec, Quantum 4,
+    257 (2020), and for raw data it is (1 - c^2)/N.  The four terms are
+    added left to right.  Row i has the bits of a call on row i alone.
     """
-    g = model._gain.tolist()
-    c = second = 0.0
-    for j in range(4):
-        c = c + g[j] * f[:, j]
-        second = second + g[j] * g[j] * f[:, j]
-    sigma = np.sqrt(np.maximum(second - c * c, 0.0) / shots)
-    clipped = ((model._inverse @ f[..., None])[..., 0] < -1e-12).any(axis=-1)
-    return c, sigma, clipped
-
-
-def estimate_correlation(counts):
-    """(C_hat, sigma) from outcome counts; sigma = sqrt((1 - C^2)/N).
-
-    One setting's counts, shape (4,), give two floats; an (S, 4) stack gives
-    two (S,) arrays whose entry i has the bits of the call on row i alone.
-    """
-    counts = _stack_of_4(counts, "counts")
-    total = counts.sum(axis=-1).astype(np.int64)
+    counts = np.asarray(counts)
+    if counts.ndim != 2 or counts.shape[1] != 4:
+        raise ValueError(f"expected an (S, 4) stack of counts, got shape {counts.shape}")
+    total = counts.sum(axis=1)
     if not total.min() >= 1:
         raise ValueError("counts must sum to at least 1")
-    c_hat = (counts[..., 0] + counts[..., 3] - counts[..., 1] - counts[..., 2]) / total
-    sigma = np.sqrt(np.maximum(1.0 - c_hat * c_hat, 0.0) / total)
-    if counts.ndim == 1:
-        return float(c_hat), float(sigma)
-    return c_hat, sigma
+    g = gain.tolist()
+    c = second = 0.0
+    for j in range(4):
+        c = c + g[j] * counts[:, j]
+        second = second + g[j] * g[j] * counts[:, j]
+    c = c / total
+    return c, np.sqrt(np.maximum(second / total - c * c, 0.0) / total)
 
 
 @dataclass(frozen=True, eq=False)
@@ -290,7 +275,7 @@ def run_experiments(
         # bool is an int, and a float or string would reach the seed words
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise ValueError(f"{name} must be an int, got {value!r}")
-    # counts are held as float64, exact only up to 2**53
+    # the estimator multiplies counts in float64, exact only up to 2**53
     if not 1 <= shots_per_setting <= 2**53:
         raise ValueError(f"shots must lie in [1, 2**53], got {shots_per_setting}")
     last_step = first_step + len(phis) - 1
@@ -311,12 +296,14 @@ def run_experiments(
     ])
     counts.setflags(write=False)
     sines = np.array([kind.sine_coeff * math.sin(phi / 2.0) for phi in phis])
-    raw = _estimates(kind, sines, *estimate_correlation(counts))
+    raw = _estimates(kind, sines, counts, _ALPHA_BETA)
     corrected = None
     clipped = np.zeros(len(counts), dtype=bool)
     if correct:
-        c, sigma, clipped = _corrected(readout, counts / shots_per_setting, shots_per_setting)
-        corrected = _estimates(kind, sines, c, sigma, readout._gain)
+        corrected = _estimates(kind, sines, counts, readout._gain)
+        # R^-1 f left the probability simplex, f = counts / row total
+        f = counts / counts.sum(axis=1, keepdims=True)
+        clipped = ((readout._inverse @ f[..., None])[..., 0] < -1e-12).any(axis=1)
     shape = (len(phis), per_experiment)
     clip_events = _frozen(clipped.reshape(shape).sum(axis=1))
     phis = _frozen(np.array(phis, dtype=float))
@@ -336,10 +323,10 @@ def _row_sums(x: np.ndarray) -> np.ndarray:
     return total
 
 
-def _estimates(kind, sines, c, c_sigma, gain=_ALPHA_BETA) -> Estimates:
-    """Pair terms, values, sigmas and sigmas of violation of a block.
+def _estimates(kind, sines, counts, gain) -> Estimates:
+    """One dataset of a block, from its counts through ``estimate`` with ``gain``.
 
-    ``c`` and ``c_sigma`` hold the block's settings in order, K experiments
+    ``counts`` (S, 4) holds the block's settings in order, K experiments
     of 2P settings, and ``sines`` each experiment's sine term.  Each
     correlation is ``gain`` . f for its setting's frequencies f, a convex
     combination of the gain's entries, so it must lie in [min, max] of
@@ -348,6 +335,7 @@ def _estimates(kind, sines, c, c_sigma, gain=_ALPHA_BETA) -> Estimates:
     settings' squared sigmas; this fails near |C + C'| = 0.  A sigma of 0
     gives sigmas of violation of +-inf, or 0 at the bound.
     """
+    c, c_sigma = estimate(counts, gain)
     lo, hi = float(gain.min()), float(gain.max())
     # "not within range" rather than "outside it", so that NaN fails
     outside = ~((c >= lo - 1e-9) & (c <= hi + 1e-9))

@@ -8,17 +8,13 @@ regions, visibility and fidelity thresholds and sigmas of violation.
 
 This module imports only the standard library, so the closed-form
 subcommands of the CLI start without numpy.  It therefore also holds the
-Werner-state fidelity conventions and the Bell-state names; import them
-from here.
+Werner-state fidelity conventions; import them from here.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-BELL_KINDS = ("phi_minus", "phi_plus", "psi_minus", "psi_plus")
-
 
 @dataclass(frozen=True)
 class InequalityKind:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 
-from leggettsim.expsim import ReadoutModel, _corrected, run_experiments
+from leggettsim.expsim import ReadoutModel, run_experiments
 from leggettsim.geometry import Z, SettingsConfig
 from leggettsim.inequalities import I26
 from leggettsim.qstate import _check_unit
@@ -81,9 +81,12 @@ def evaluate(kind, phi: float, correlations, gain=(1.0, -1.0, -1.0, 1.0)) -> dic
 
 
 def corrected_correlation(model, f) -> float:
-    """The readout-corrected correlation g . f of one reported distribution f."""
-    c, _, _ = _corrected(model, np.array([f], dtype=float), 1)
-    return float(c[0])
+    """The readout-corrected correlation g . f of one reported distribution f,
+    its four terms added left to right."""
+    c = 0.0
+    for g_j, f_j in zip(model._gain.tolist(), np.asarray(f, dtype=float).tolist()):
+        c += g_j * f_j
+    return c
 
 
 def run_one(state, config, shots, seed, readout=ReadoutModel(), correct=False, step=0):

@@ -572,6 +572,17 @@ class TestSimulate:
         assert err == f"error: config: unknown field {key!r}\n"
         assert out == ""
 
+    @pytest.mark.parametrize("command", [["sweep"], ["simulate", "--phi", "40"]])
+    def test_bell_removed(self, capsys, tmp_path, command):
+        # the state is the Werner state of phi_minus: over the four Bell
+        # bases the adapted settings gave the same counts, values and sigmas
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"bell": "psi_minus"}))
+        code, out, err = run(capsys, *command, "--shots", "100", "--config", str(config))
+        assert (code, out, err) == (2, "", "error: config: unknown field 'bell'\n")
+        code, out, err = run(capsys, *command, "--shots", "100", "--bell", "psi_minus")
+        assert code == 2 and out == "" and "unrecognized arguments: --bell" in err
+
     def test_sweep_takes_sweep_only_config_keys(self, capsys, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(
@@ -614,15 +625,15 @@ class TestSimulate:
 
 class TestExperimentConfigs:
     @pytest.mark.parametrize("tag", ["i26", "i28"])
-    @pytest.mark.parametrize("bell, visibility", [("phi_minus", 0.98), ("psi_minus", 0.6)])
-    def test_equal_replaced_canonical(self, monkeypatch, tag, bell, visibility):
-        config = cli.RunConfig(inequality=tag, bell=bell, visibility=visibility, shots=10)
+    @pytest.mark.parametrize("visibility", [0.98, 0.6])
+    def test_equal_replaced_canonical(self, monkeypatch, tag, visibility):
+        config = cli.RunConfig(inequality=tag, visibility=visibility, shots=10)
         phis = [math.radians(deg) for deg in (0.0, 12.5, 36.87, 90.0, 180.0)]
         block = cli._experiment(config)(phis)
         # the reference: the canonical configuration rebuilt at each phi, with
         # the Alice vectors adapted once
         canonical = {"i26": canonical_i26, "i28": canonical_i28}[tag]
-        state = werner(visibility, bell)
+        state = werner(visibility)
         alice = adapt_to_state(correlation_tensor(state), canonical(0.0)).alice
         assert block.phis.tolist() == phis
         assert len(block.settings) == len(phis)

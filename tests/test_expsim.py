@@ -10,10 +10,9 @@ from conftest import corrected_correlation, evaluate, run_one
 from leggettsim.expsim import (
     ConditioningError,
     ReadoutModel,
-    _corrected,
     _estimates,
     apply_confusion,
-    estimate_correlation,
+    estimate,
     run_experiments,
 )
 from leggettsim.geometry import SettingsConfig, adapt_to_state, canonical_i26, canonical_i28
@@ -31,6 +30,9 @@ PHI = math.radians(36.87)
 
 
 FIDELITIES = ("f0_a", "f1_a", "f0_b", "f1_b")
+
+# the gain of raw data: C = n(++) - n(+-) - n(-+) + n(--) over the total
+RAW_GAIN = np.array([1.0, -1.0, -1.0, 1.0])
 
 
 def adapted_config(state, phi=PHI):
@@ -92,7 +94,7 @@ class TestReadoutModel:
         # R is singular at 0.5, and near it too ill-conditioned to invert
         model = ReadoutModel(f, f, 0.97, 0.95)
         with pytest.raises(ConditioningError, match="condition number"):
-            _corrected(model, np.full((1, 4), 0.25), 1)
+            model._gain
 
 
 class TestValueTypes:
@@ -165,11 +167,15 @@ class TestCorrectReadout:
     """The linear inversion g . f, g = R^-T (1, -1, -1, 1), recovers C(p) from f = R p."""
 
     def test_identity(self):
-        p = np.array([0.3, 0.2, 0.1, 0.4])
+        # the identity's gain is the raw one, and R^-1 f = f stays in the
+        # simplex even at one shot, where f is a vertex of it
         model = ReadoutModel()
-        c, _, clipped = _corrected(model, p[None], 1)
-        assert model._gain.tolist() == [1.0, -1.0, -1.0, 1.0]
-        assert c.tolist() == [outcome_correlation(p)] and clipped.tolist() == [False]
+        assert model._gain.tolist() == RAW_GAIN.tolist()
+        state = werner(0.9)
+        result = run_one(state, adapted_config(state), 1, seed=0, readout=model, correct=True)
+        assert result.corrected.c.tobytes() == result.raw.c.tobytes()
+        assert result.corrected.c_sigma.tobytes() == result.raw.c_sigma.tobytes()
+        assert result.clip_events.tolist() == [0]
 
     def test_round_trip(self):
         model = ReadoutModel(0.97, 0.93, 0.97, 0.93)
@@ -178,25 +184,34 @@ class TestCorrectReadout:
         assert recovered == pytest.approx(1.0, abs=1e-10)
 
     def test_nan_rejected(self):
-        # NaN frequencies give a NaN corrected value, which the range check rejects
+        # a NaN count fails the total check; an infinite one gives a NaN
+        # corrected value, which the range check rejects
         model = ReadoutModel(0.97, 0.95, 0.96, 0.94)
-        f = np.full((6, 4), 0.25)
-        f[4] = [np.nan, 0.0, 0.0, 1.0]
-        c, sigma, _ = _corrected(model, f, 100)
-        with pytest.raises(ValueError, match="correlations must lie in"):
-            _estimates(I26, np.zeros(1), c, sigma, model._gain)
+        counts = np.full((6, 4), 25.0)
+        counts[4] = [np.nan, 0.0, 0.0, 1.0]
+        with pytest.raises(ValueError, match="counts must sum to at least 1"):
+            _estimates(I26, np.zeros(1), counts, model._gain)
+        counts[4] = [np.inf, 0.0, 0.0, 1.0]
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ValueError, match="correlations must lie in"):
+                _estimates(I26, np.zeros(1), counts, model._gain)
 
     def test_singular_model(self):
         model = ReadoutModel(0.5, 0.5, 0.5, 0.5)
         with pytest.raises(ConditioningError):
-            _corrected(model, np.full((1, 4), 0.25), 1)
+            model._gain
 
     def test_clipping_only_flagged(self):
-        # R^-1 f leaves the simplex; the value g . f = g_0 = 1/0.9**2 is kept
+        # at one shot f is a vertex e_j of the simplex, and R^-1 e_j, a
+        # column of R^-1, leaves it; the value g . e_j = g_j = +-1/0.9**2
+        # is kept
         model = ReadoutModel(0.95, 0.95, 0.95, 0.95)
-        c, _, clipped = _corrected(model, np.array([[1.0, 0.0, 0.0, 0.0]]), 1)
-        assert clipped.tolist() == [True]
-        assert c[0] == model._gain[0] == pytest.approx(1.0 / 0.81, rel=1e-12)
+        state = werner(0.9)
+        result = run_one(state, adapted_config(state), 1, seed=0, readout=model, correct=True)
+        assert result.clip_events.tolist() == [6]
+        outcomes = result.counts[0].argmax(axis=1)
+        assert result.corrected.c[0].tolist() == model._gain[outcomes].tolist()
+        assert model._gain[0] == pytest.approx(1.0 / 0.81, rel=1e-12)
 
     def test_random_round_trips(self):
         rng = np.random.default_rng(5)
@@ -295,23 +310,50 @@ class TestSampling:
 
 
 class TestEstimateCorrelation:
+    """``estimate`` on one-row stacks with the raw gain, and on stacks whose
+    rows have different totals."""
+
     def test_uniform(self):
-        c, sigma = estimate_correlation([250, 250, 250, 250])
-        assert c == 0.0
-        assert sigma == pytest.approx(0.031623, abs=1e-6)
+        c, sigma = estimate(np.array([[250, 250, 250, 250]]), RAW_GAIN)
+        assert c.tolist() == [0.0]
+        assert sigma[0] == pytest.approx(0.031623, abs=1e-6)
 
     def test_perfect(self):
-        c, sigma = estimate_correlation([500, 0, 0, 500])
-        assert (c, sigma) == (1.0, 0.0)
+        c, sigma = estimate(np.array([[500, 0, 0, 500]]), RAW_GAIN)
+        assert (c.tolist(), sigma.tolist()) == ([1.0], [0.0])
 
     def test_formula(self):
-        c, sigma = estimate_correlation([450, 50, 50, 450])
-        assert c == pytest.approx(0.8, abs=1e-12)
-        assert sigma == pytest.approx(0.018974, abs=1e-6)
+        c, sigma = estimate(np.array([[450, 50, 50, 450]]), RAW_GAIN)
+        assert c[0] == pytest.approx(0.8, abs=1e-12)
+        assert sigma[0] == pytest.approx(0.018974, abs=1e-6)
 
     def test_all_zero_rejected(self):
-        with pytest.raises(ValueError):
-            estimate_correlation([0, 0, 0, 0])
+        gain = ReadoutModel(0.97, 0.95, 0.96, 0.94)._gain
+        for counts in ([[0, 0, 0, 0]], [[3, 0, 1, 0], [0, 0, 0, 0]]):
+            for g in (RAW_GAIN, gain):
+                with pytest.raises(ValueError, match="^counts must sum to at least 1$"):
+                    estimate(np.array(counts), g)
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 3), (1, 2, 4)])
+    def test_not_a_stack_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"^expected an \(S, 4\) stack of counts"):
+            estimate(np.ones(shape), RAW_GAIN)
+
+    def test_unequal_totals_equal_reference(self):
+        # each row over its own total, from 1 up, against the scalar
+        # references, raw and corrected; row i also equals a call on it alone
+        rng = np.random.default_rng(18)
+        totals = [1, 1, 2, 3, 17, 1000, 10**6, *rng.integers(1, 100, size=57).tolist()]
+        counts = np.array([rng.multinomial(n, rng.dirichlet(np.ones(4))) for n in totals])
+        assert counts.sum(axis=1).tolist() == totals
+        readout = random_readout(rng)
+        c, sigma = estimate(counts, RAW_GAIN)
+        c_corr, sigma_corr = estimate(counts, readout._gain)
+        for i, row in enumerate(counts):
+            assert (c[i], sigma[i]) == reference_estimate_correlation(row)
+            assert (c_corr[i], sigma_corr[i]) == reference_corrected(readout, row)
+            alone = estimate(counts[i : i + 1], readout._gain)
+            assert [x.tolist() for x in alone] == [[c_corr[i]], [sigma_corr[i]]]
 
 
 class TestRunExperiment:
@@ -530,13 +572,16 @@ def reference_gain(model):
     return (inverse[0] - inverse[1] - inverse[2] + inverse[3]).tolist()
 
 
-def reference_corrected(model, f, shots):
-    """The linear inversion g . f of one setting's frequencies f and its delta-method sigma."""
+def reference_corrected(model, counts):
+    """The linear inversion g . f of one setting's counts, f = counts / total,
+    and its delta-method sigma."""
+    total = int(counts.sum())
     c = second = 0.0
-    for g_j, f_j in zip(reference_gain(model), f.tolist()):
-        c += g_j * f_j
-        second += g_j * g_j * f_j
-    return c, math.sqrt(max(second - c * c, 0.0) / shots)
+    for g_j, n_j in zip(reference_gain(model), counts.tolist()):
+        c += g_j * n_j
+        second += g_j * g_j * n_j
+    c = c / total
+    return c, math.sqrt(max(second / total - c * c, 0.0) / total)
 
 
 def reference_settings(config):
@@ -562,7 +607,7 @@ def reference_experiment(state, config, shots, seed, readout, correct, step):
         if correct:
             _, clipped = referencecorrect_readout(readout, counts / shots)
             clip_events += int(clipped)
-            c_corr, sigma_corr = reference_corrected(readout, counts / shots, shots)
+            c_corr, sigma_corr = reference_corrected(readout, counts)
         settings.append(
             {
                 "setting_id": setting_id,
@@ -672,8 +717,8 @@ class TestStackedMatchesReference:
             probs = joint_probabilities(state, n, m)
             reported = apply_confusion(readout, probs)
             counts = np.array([rng.multinomial(30, p / p.sum()) for p in reported])
-            c_corr, sigma_corr, clipped = _corrected(readout, counts / 30, 30)
-            c_hat, sigma = estimate_correlation(counts)
+            c_corr, sigma_corr = estimate(counts, readout._gain)
+            c_hat, sigma = estimate(counts, RAW_GAIN)
             for i in range(size):
                 row = joint_probabilities(state, n[i], m[i])
                 assert row.tobytes() == probs[i].tobytes()
@@ -681,18 +726,15 @@ class TestStackedMatchesReference:
                 row = apply_confusion(readout, probs[i])
                 assert row.tobytes() == reported[i].tobytes()
                 assert row.tobytes() == (readout.joint @ probs[i]).tobytes()
-                row = _corrected(readout, counts[i : i + 1] / 30, 30)
-                assert [x.tolist() for x in row] == [[c_corr[i]], [sigma_corr[i]], [clipped[i]]]
-                ref = reference_corrected(readout, counts[i] / 30, 30)
-                assert ref == (c_corr[i], sigma_corr[i])
+                row = estimate(counts[i : i + 1], readout._gain)
+                assert [x.tolist() for x in row] == [[c_corr[i]], [sigma_corr[i]]]
+                assert reference_corrected(readout, counts[i]) == (c_corr[i], sigma_corr[i])
                 ref_p, ref_clipped = referencecorrect_readout(readout, counts[i] / 30)
-                assert clipped[i] == ref_clipped
                 if not ref_clipped:
                     assert c_corr[i] == pytest.approx(outcome_correlation(ref_p), abs=1e-10)
-                single = estimate_correlation(counts[i])
-                assert single == (float(c_hat[i]), float(sigma[i]))
-                assert single == reference_estimate_correlation(counts[i])
-                assert type(single[0]) is float and type(single[1]) is float
+                row = estimate(counts[i : i + 1], RAW_GAIN)
+                assert [x.tolist() for x in row] == [[c_hat[i]], [sigma[i]]]
+                assert reference_estimate_correlation(counts[i]) == (c_hat[i], sigma[i])
 
     def test_blocks_equal_reference_per_step(self):
         rng = np.random.default_rng(2026)
@@ -813,10 +855,16 @@ class TestEstimates:
         for kind in (I26, I28):
             phis = rng.uniform(0.0, math.pi, size=50).tolist()
             sines = np.array([kind.sine_coeff * math.sin(phi / 2.0) for phi in phis])
-            c = rng.uniform(-1.0, 1.0, size=(50, 2 * kind.num_pairs))
-            c_sigma = rng.uniform(0.0, 0.1, size=c.shape)
-            got = _estimates(kind, sines, c.ravel(), c_sigma.ravel())
+            # every setting with its own total
+            totals = rng.integers(1, 1000, size=50 * 2 * kind.num_pairs).tolist()
+            counts = np.array([rng.multinomial(n, rng.dirichlet(np.ones(4))) for n in totals])
+            got = _estimates(kind, sines, counts, RAW_GAIN)
+            refs = [reference_estimate_correlation(row) for row in counts]
+            c = np.array([ref[0] for ref in refs]).reshape(50, -1)
+            c_sigma = np.array([ref[1] for ref in refs]).reshape(c.shape)
             for k, phi in enumerate(phis):
+                assert got.c[k].tolist() == c[k].tolist()
+                assert got.c_sigma[k].tolist() == c_sigma[k].tolist()
                 ref = evaluate(kind, phi, list(zip(c[k, ::2], c[k, 1::2])))
                 assert got.pair_terms[k].tolist() == ref["pair_terms"]
                 assert got.value[k] == ref["value"]
@@ -827,29 +875,46 @@ class TestEstimates:
                 nsig = sigma_violation(ref["value"], math.sqrt(variance), kind)
                 assert got.sigmas_violation[k] == nsig
 
-    @pytest.mark.parametrize("bad", [1.0 + 2e-9, -1.5, math.nan])
+    # each id is the raw correlation of the setting's counts: counts off
+    # the simplex, or infinite ones, which give a NaN
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            pytest.param([1e9 + 1, -1, 0, 0], id="1.000000002"),
+            pytest.param([0, 5, 0, -1], id="-1.5"),
+            pytest.param([math.inf, 0, 0, 1], id="nan"),
+        ],
+    )
     def test_out_of_range_correlation(self, bad):
-        c = np.zeros(6)
-        c[4] = bad
-        with pytest.raises(ValueError, match=r"correlations must lie in \[-1, 1\]"):
-            _estimates(I26, np.zeros(1), c, np.full(6, 0.1))
+        counts = np.full((6, 4), 25.0)
+        counts[4] = bad
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ValueError, match=r"correlations must lie in \[-1, 1\]"):
+                _estimates(I26, np.zeros(1), counts, RAW_GAIN)
 
     def test_corrected_domain(self):
-        # a corrected C is g . f, a convex combination of the gain's entries
+        # a corrected C is g . f, a convex combination of the gain's
+        # entries; all counts in one outcome give the largest, g_0 = 1/0.81
         gain = ReadoutModel(0.95, 0.95, 0.95, 0.95)._gain
-        c = np.zeros(6)
-        c[4] = 1.2
-        assert _estimates(I26, np.zeros(1), c, np.full(6, 0.1), gain).c[0, 4] == 1.2
-        for bad in (1.0 / 0.81 + 2e-9, -1.5, math.nan):
-            c[4] = bad
-            with pytest.raises(ValueError, match=r"correlations must lie in \[-1.23457, 1.23457\]"):
-                _estimates(I26, np.zeros(1), c, np.full(6, 0.1), gain)
+        counts = np.full((6, 4), 25.0)
+        counts[4] = [3, 0, 0, 0]
+        assert _estimates(I26, np.zeros(1), counts, gain).c[0, 4] == gain[0] > 1.2
+        for bad in ([1e9 + 1, -1, 0, 0], [0, 5, 0, -1], [math.inf, 0, 0, 1]):
+            counts[4] = bad
+            with np.errstate(invalid="ignore"):
+                with pytest.raises(
+                    ValueError, match=r"correlations must lie in \[-1.23457, 1.23457\]"
+                ):
+                    _estimates(I26, np.zeros(1), counts, gain)
 
     def test_zero_sigma(self):
-        # above, below and at the bound, without a division warning
-        c = np.array([[1.0] * 6, [0.0] * 6, [1.0] * 6])
+        # above, below and at the bound, without a division warning: every
+        # C is +-1, and in the second experiment each pair's C + C' is 0
+        counts = np.array(
+            [[5, 0, 0, 0]] * 6 + [[1, 0, 0, 0], [0, 2, 0, 0]] * 3 + [[1, 0, 0, 0]] * 6
+        )
         sines = np.array([0.5, 0.5, 0.0])
-        got = _estimates(I26, sines, c.ravel(), np.zeros(18))
+        got = _estimates(I26, sines, counts, RAW_GAIN)
         assert got.value.tolist() == [6.5, 0.5, 6.0]
         assert got.sigma.tolist() == [0.0, 0.0, 0.0]
         assert got.sigmas_violation.tolist() == [math.inf, -math.inf, 0.0]

@@ -55,18 +55,18 @@ RAW_SWEEP_ARGS = ("--format", "json", "--steps", "130", "--shots", "1000", "--se
 RAW_SIMULATE_ARGS = ("--phi", "36.87", "--shots", "100000", "--seed", "4")
 
 SWEEP_SHA256 = {
-    "i26": "e42b386c7db13141c3505768157c25e4db7a856035189603831c05846aeff829",
-    "i28": "32bab995eea8bc809edf1e16a3683a9faae1aaf683a3189ace8fac69c1b82e40",
+    "i26": "d2a837ddb28a59ab65bf1fe8962c972358af61d0c88f8c8e6c4ff8b5a07c6fd0",
+    "i28": "ea95c0342ad321564e16c0a5406f14569a8837c65007e3e471434852b50aa0a7",
 }
 # header plus the step-0 row of the sampled sweep: step 0 draws the same
 # streams as ``simulate``
 SWEEP_STEP0_SHA256 = {
-    "i26": "97ba9f87852cef71fcf0723768f9cd3d7353495b610cd52b840a54239ba427f3",
-    "i28": "fa40baf01baec07b464af8fab54c7e83cd2931b6dc10727f904234221c44cfb0",
+    "i26": "adb2b5f36eec2814fb588088b44d99cdf9d9555cc2cedb42dee8d5c3181f8457",
+    "i28": "9451afc3e6dc93c5883f7614b8aaa9234e768052cfee5e8ffcddd352e607bc68",
 }
 SIMULATE_SHA256 = {
-    "i26": "846edb68e800e249d5125c29e570020caf75439a5583651bef62f1f4f66f17f3",
-    "i28": "8df00ddae299a9eda7389a770f9605ee8df4c859daab657dc2330140b33dd815",
+    "i26": "f4b177361c70218970db06a288945bbfb92893e864622fcddc765eeb9fc1b588",
+    "i28": "1f4352b225a901f2417358cc755c4b61092196a80507d1f6e779bc8da33d2432",
 }
 RAW_SWEEP_SHA256 = {
     "i26": "98f27afb588ecaa63ce5b112254b939a3c1c1b5eddea277cad626a16c04b4a3f",

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import correlation, unit_vectors
 from leggettsim import qstate
-from leggettsim.inequalities import BELL_KINDS, amplitude_fidelity
+from leggettsim.inequalities import amplitude_fidelity
 from leggettsim.qstate import (
     UNIT_TOL,
     CorrelationTensor,
@@ -58,7 +58,7 @@ class TestBellStates:
         rho = bell_state("phi_minus").matrix
         assert np.trace(rho @ rho).real == pytest.approx(1.0, abs=1e-12)
 
-    @pytest.mark.parametrize("kind", BELL_KINDS)
+    @pytest.mark.parametrize("kind", list(qstate._BELL_VECTORS))
     def test_maximally_entangled_tensor(self, kind):
         tensor = correlation_tensor(bell_state(kind))
         assert abs(abs(np.linalg.det(tensor.t)) - 1.0) < 1e-10
@@ -329,7 +329,7 @@ class TestTensorReference:
             assert np.array_equal(getattr(tensor, name), expected)
             assert getattr(tensor, name).tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("base", BELL_KINDS)
+    @pytest.mark.parametrize("base", list(qstate._BELL_VECTORS))
     @pytest.mark.parametrize("v", [0.0, 0.37, 0.71, 0.98, 1.0])
     def test_werner(self, v, base):
         self.check(werner(v, base))
@@ -360,7 +360,7 @@ def test_module_constant_read_only(name):
         getattr(qstate, name)[0] = 0.6
 
 
-@pytest.mark.parametrize("base", BELL_KINDS)
+@pytest.mark.parametrize("base", list(qstate._BELL_VECTORS))
 def test_bell_vector_read_only(base):
     with pytest.raises(ValueError, match="read-only"):
         qstate._BELL_VECTORS[base][0] = 0.6
