@@ -15,15 +15,14 @@ A block stays in read-only arrays from the angles to the numbers
 (``ExperimentBlock``): settings as (K, P, 2, 3), counts as (K, 2P, 4), and
 for the raw and the corrected data (``Estimates``) per-setting
 correlations as (K, 2P), pair terms as (K, P) and values, sigmas and
-sigmas of violation as (K,).  ``joint_probabilities`` and
-``apply_confusion`` each take either one row or the whole stack of
-S = 2PK settings, and ``estimate`` takes the (S, 4) stack of counts; row
-i of a stacked call has the bits of the call on row i alone.  Sums over
-outcomes, settings and pairs add columns left to right, so the bits do
-not depend on the interpreter's ``sum``.  Only the draws loop, once per
-experiment: one ``multinomial`` call on the experiment's (2P, 4)
-probabilities, which draws the bits of one call per setting on the same
-generator.
+sigmas of violation as (K,).  ``joint_probabilities``,
+``apply_confusion`` and ``estimate`` each take the whole stack of
+S = 2PK settings; row i of a stacked call has the bits of a call on row
+i alone.  Sums over outcomes, settings and pairs add columns left to
+right, so the bits do not depend on the interpreter's ``sum``.  Only the
+draws loop, once per experiment: one ``multinomial`` call on the
+experiment's (2P, 4) probabilities, which draws the bits of one call per
+setting on the same generator.
 
 A readout model is its four fidelities; its confusion R is applied to the
 outcome probabilities before sampling, which is equivalent in
@@ -107,19 +106,18 @@ class ReadoutModel:
 
 
 def apply_confusion(model: ReadoutModel, p) -> np.ndarray:
-    """Reported-outcome distribution R p for true distribution p.
+    """Reported-outcome distributions R p for the (S, 4) stack p of true ones.
 
-    p is one distribution, shape (4,), or S of them stacked as (S, 4); row
-    i of the result has the bits of the call on row i alone.
+    Row i of the result has the bits of a call on row i alone.
     """
     p = np.asarray(p, dtype=float)
-    if p.ndim not in (1, 2) or p.shape[-1] != 4:
-        raise ValueError(f"expected 4 probabilities or a stack of them, got shape {p.shape}")
+    if p.ndim != 2 or p.shape[1] != 4:
+        raise ValueError(f"expected an (S, 4) stack of probabilities, got shape {p.shape}")
     # "not within tolerance" rather than "beyond it", so that NaN fails
-    if not (np.abs(p.sum(axis=-1) - 1.0).max() <= 1e-9 and p.min() >= -1e-12):
+    if not (np.abs(p.sum(axis=1) - 1.0).max() <= 1e-9 and p.min() >= -1e-12):
         raise ValueError("probabilities must be nonnegative and sum to 1")
     # R @ p[:, None] per row; p @ R.T on the stack would round differently
-    return (model.joint @ p[..., None])[..., 0]
+    return (model.joint @ p[:, :, None])[:, :, 0]
 
 
 def estimate(counts, gain):

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .inequalities import I26, I28, KINDS, InequalityKind, _check_phi
-from .qstate import CorrelationTensor, _check_unit, _frozen
+from .qstate import CorrelationTensor, _check_norms, _check_unit, _frozen
 
 ORTHO_TOL = 1e-9
 DEGENERATE_TOL = 1e-9
@@ -39,7 +39,8 @@ class SettingsConfig:
 
     ``alice`` is an (A, 3) stack of unit vectors; ``u`` and ``e_hat`` are
     (P, 3) stacks of each pair's bisector and difference direction, row by
-    row orthogonal unit vectors.  All are read-only float copies, as is the
+    row orthogonal unit vectors that give unit settings (m, m') at every
+    phi.  All are read-only float copies, as is the
     derived (P, 2, 3) stack ``pairs`` of each pair's (m, m'), so
     ``pairs.reshape(-1, 3)`` lists the settings in setting order.
     ``pair_stacks`` gives the pairs at other angles.  ``pairing[i]`` is the
@@ -83,6 +84,11 @@ class SettingsConfig:
                 dot = float(u[i] @ e_hat[i])
                 if not abs(dot) <= ORTHO_TOL:
                     raise ValueError(f"u and e_hat must be orthogonal, dot = {dot}")
+                # over phi in [0, pi], |m|^2 and |m'|^2 range over the eigenvalues
+                # mid +- half of the Gram matrix [[u.u, dot], [dot, e.e]]
+                uu, ee = float(u[i] @ u[i]), float(e_hat[i] @ e_hat[i])
+                mid, half = (uu + ee) / 2.0, math.hypot((uu - ee) / 2.0, dot)
+                _check_norms(np.sqrt([mid - half, mid + half]), "m")
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"pairs[{i}]: {exc}") from exc
         if len(self.pairing) != len(u):

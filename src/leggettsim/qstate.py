@@ -1,5 +1,5 @@
-"""Two-qubit state algebra: Bell and Werner states, correlation tensors,
-joint outcome probabilities and fidelity conventions.
+"""Two-qubit state algebra: Bell and Werner states, correlation tensors
+and joint outcome probabilities.
 
 Basis order is |00>, |01>, |10>, |11> with Alice (nuclear spin) first and
 Bob (electron spin) second; spin-up maps to 0 and spin-down to 1.
@@ -7,11 +7,12 @@ Bob (electron spin) second; spin-up maps to 0 and spin-down to 1.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+
+from .inequalities import _check_visibility
 
 HERMITIAN_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -56,7 +57,8 @@ class InvalidStateError(ValueError):
 class TwoQubitState:
     """A 4x4 density matrix; validated to be Hermitian, unit-trace, PSD.
 
-    The matrix is a read-only copy of the one passed in, so ``tensor``,
+    The matrix is a read-only copy of the Hermitian part (m + m^H)/2 of the
+    one passed in, so every expectation value is real, and ``tensor``,
     built on first use and kept, cannot go stale.
     """
 
@@ -69,8 +71,8 @@ class TwoQubitState:
         # each test is written "not ok" so that NaN fails it
         if not np.max(np.abs(m - m.conj().T)) <= HERMITIAN_TOL:
             raise InvalidStateError("matrix is not Hermitian to 1e-12")
-        trace = np.trace(m)
-        if not (abs(trace.real - 1.0) <= TRACE_TOL and abs(trace.imag) <= TRACE_TOL):
+        m = (m + m.conj().T) / 2.0
+        if not abs(np.trace(m).real - 1.0) <= TRACE_TOL:
             raise InvalidStateError("trace differs from 1 by more than 1e-12")
         if not np.linalg.eigvalsh(m).min() >= -PSD_TOL:
             raise InvalidStateError("matrix has an eigenvalue below -1e-10")
@@ -109,8 +111,7 @@ def bell_state(kind: str) -> TwoQubitState:
 
 def werner(visibility: float, base: str = "phi_minus") -> TwoQubitState:
     """Werner mixture V * |bell><bell| + (1 - V) * I/4."""
-    if not 0.0 <= visibility <= 1.0:
-        raise ValueError(f"visibility must lie in [0, 1], got {visibility}")
+    _check_visibility(visibility)
     rho = bell_state(base).matrix
     return TwoQubitState(visibility * rho + (1.0 - visibility) * np.eye(4) / 4.0)
 
@@ -126,28 +127,20 @@ def correlation_tensor(state: TwoQubitState) -> CorrelationTensor:
     a = np.empty(3)
     b = np.empty(3)
     for j in range(3):
-        a[j] = _real_trace(rho @ _KRON[j + 1, 0])
-        b[j] = _real_trace(rho @ _KRON[0, j + 1])
+        a[j] = np.trace(rho @ _KRON[j + 1, 0]).real
+        b[j] = np.trace(rho @ _KRON[0, j + 1]).real
         for k in range(3):
-            t[j, k] = _real_trace(rho @ _KRON[j + 1, k + 1])
+            t[j, k] = np.trace(rho @ _KRON[j + 1, k + 1]).real
     return CorrelationTensor(t=t, a=a, b=b)
 
 
-def _real_trace(m: np.ndarray) -> float:
-    tr = np.trace(m)
-    if abs(tr.imag) > HERMITIAN_TOL:
-        raise InvalidStateError(f"expectation value has imaginary part {tr.imag}")
-    return tr.real
-
-
 def _rowdot(x: np.ndarray, y: np.ndarray):
-    """Dot product of x with y along the last axis, row by row.
+    """Dot product of the (S, 3) stack x with y, (3,) or (S, 3), row by row.
 
-    x is (3,) or (S, 3); y is (3,) or shaped like x.  Each row's bits equal
-    those of ``float(x_i @ y_i)``; plain ``x @ y`` on a stack does not
-    guarantee that.
+    Each row's bits equal those of ``float(x_i @ y_i)``; plain ``x @ y`` on
+    a stack does not guarantee that.
     """
-    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+    return (x[:, None, :] @ y[..., :, None])[:, 0, 0]
 
 
 def _check_unit(vec, name: str) -> np.ndarray:
@@ -155,27 +148,26 @@ def _check_unit(vec, name: str) -> np.ndarray:
     v = np.asarray(vec, dtype=float)
     if v.shape != (3,):
         raise ValueError(f"{name} must be a 3-vector, got shape {v.shape}")
-    # the bits of np.linalg.norm(v), without its overhead
-    _check_norms([math.sqrt(float(v @ v))], name)
+    _check_norms(np.sqrt(_rowdot(v[None], v)), name)
     return v
 
 
 def _check_unit_rows(vecs, name: str) -> np.ndarray:
-    """``vecs`` as floats: one unit 3-vector, or a stack of them, shape (S, 3)."""
+    """``vecs`` as floats, checked to be a stack of unit 3-vectors, shape (S, 3)."""
     v = np.asarray(vecs, dtype=float)
-    if v.ndim != 2:
-        return _check_unit(v, name)
-    if v.shape[1] != 3:
+    if v.ndim != 2 or v.shape[1] != 3:
         raise ValueError(f"{name} must be a stack of 3-vectors, got shape {v.shape}")
-    _check_norms(np.sqrt(_rowdot(v, v)).tolist(), name)
+    _check_norms(np.sqrt(_rowdot(v, v)), name)
     return v
 
 
-def _check_norms(norms, name: str):
-    for norm in norms:
-        # "not within tolerance" rather than "beyond it", so that NaN fails
-        if not abs(norm - 1.0) <= UNIT_TOL:
-            raise ValueError(f"{name} must be a unit vector, |{name}| = {norm}")
+def _check_norms(norms: np.ndarray, name: str):
+    """Raise on the first of ``norms`` more than UNIT_TOL from 1."""
+    # "not within tolerance" rather than "beyond it", so that NaN fails
+    bad = ~(np.abs(norms - 1.0) <= UNIT_TOL)
+    if bad.any():
+        norm = float(norms[bad.argmax()])
+        raise ValueError(f"{name} must be a unit vector, |{name}| = {norm}")
 
 
 # outcome signs (alpha, beta, alpha * beta) in the order (++, +-, -+, --)
@@ -187,20 +179,20 @@ _ALPHA_BETA = _frozen(_ALPHA * _BETA)
 def joint_probabilities(state: TwoQubitState, n, m) -> np.ndarray:
     """Outcome probabilities P(alpha, beta) in order (++, +-, -+, --).
 
-    One setting, n and m of shape (3,), gives shape (4,).  S settings
-    stacked as (S, 3) arrays give (S, 4), whose row i has the bits of the
-    call on row i alone.
+    S settings, n and m stacked as (S, 3) arrays, give (S, 4), whose row i
+    has the bits of a call on row i alone.  Probabilities are clipped at 0;
+    one below -PSD_TOL, which no valid state gives, raises InvalidStateError.
     """
     n = _check_unit_rows(n, "n")
     m = _check_unit_rows(m, "m")
     if n.shape != m.shape:
         raise ValueError(f"n and m must have one shape, got {n.shape} and {m.shape}")
     tensor = state.tensor
-    an = _rowdot(n, tensor.a)[..., None]
-    bm = _rowdot(m, tensor.b)[..., None]
-    ntm = _rowdot(n @ tensor.t, m)[..., None]
+    an = _rowdot(n, tensor.a)[:, None]
+    bm = _rowdot(m, tensor.b)[:, None]
+    ntm = _rowdot(n @ tensor.t, m)[:, None]
     probs = 0.25 * (1.0 + _ALPHA * an + _BETA * bm + _ALPHA_BETA * ntm)
     lowest = probs.min()
-    if not lowest >= -1e-12:
+    if not lowest >= -PSD_TOL:
         raise InvalidStateError(f"negative joint probability {lowest}")
     return np.clip(probs, 0.0, None)

@@ -135,7 +135,7 @@ def test_criterion_8_readout_round_trip():
     for _ in range(100):
         model = ReadoutModel(*rng.uniform(0.9, 1.0, size=4))
         p = rng.dirichlet(np.ones(4))
-        recovered = corrected_correlation(model, apply_confusion(model, p))
+        recovered = corrected_correlation(model, apply_confusion(model, [p])[0])
         if not abs(recovered - (p[0] - p[1] - p[2] + p[3])) <= 1e-10:
             ok = False
     report("criterion 8: readout correction round trip to 1e-10", ok)

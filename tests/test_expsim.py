@@ -123,26 +123,26 @@ class TestValueTypes:
 class TestConfusion:
     def test_identity_passthrough(self):
         p = np.array([0.4, 0.1, 0.2, 0.3])
-        assert np.allclose(apply_confusion(ReadoutModel(), p), p)
+        assert np.allclose(apply_confusion(ReadoutModel(), [p])[0], p)
 
     def test_column_readoff(self):
         model = ReadoutModel(0.99, 0.95, 1.0, 1.0)
-        out = apply_confusion(model, [1.0, 0.0, 0.0, 0.0])
+        out = apply_confusion(model, [[1.0, 0.0, 0.0, 0.0]])[0]
         assert np.allclose(out, [0.99, 0.0, 0.01, 0.0], atol=1e-12)
 
     def test_fully_mixing(self):
         model = ReadoutModel(0.5, 0.5, 0.5, 0.5)
-        out = apply_confusion(model, [0.7, 0.1, 0.1, 0.1])
+        out = apply_confusion(model, [[0.7, 0.1, 0.1, 0.1]])[0]
         assert np.allclose(out, 0.25, atol=1e-12)
 
     def test_sum_preserved(self):
         model = ReadoutModel(0.97, 0.93, 0.96, 0.91)
-        out = apply_confusion(model, [0.5, 0.0, 0.0, 0.5])
+        out = apply_confusion(model, [[0.5, 0.0, 0.0, 0.5]])[0]
         assert out.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_malformed_input(self):
         with pytest.raises(ValueError):
-            apply_confusion(ReadoutModel(), [0.5, 0.5, 0.5, 0.5])
+            apply_confusion(ReadoutModel(), [[0.5, 0.5, 0.5, 0.5]])
 
     def test_nan_model_rejected(self):
         # NaN fails every comparison, so it must not pass the range check
@@ -151,7 +151,7 @@ class TestConfusion:
                 ReadoutModel(**{name: math.nan})
 
     @pytest.mark.parametrize(
-        "p", [[np.nan, 0.0, 0.0, 1.0], [[0.25] * 4, [np.nan, 0.5, 0.5, 0.0]]]
+        "p", [[[np.nan, 0.0, 0.0, 1.0]], [[0.25] * 4, [np.nan, 0.5, 0.5, 0.0]]]
     )
     def test_nan_rejected(self, p):
         with pytest.raises(ValueError, match="sum to 1"):
@@ -180,7 +180,7 @@ class TestCorrectReadout:
     def test_round_trip(self):
         model = ReadoutModel(0.97, 0.93, 0.97, 0.93)
         p_true = np.array([0.5, 0.0, 0.0, 0.5])
-        recovered = corrected_correlation(model, apply_confusion(model, p_true))
+        recovered = corrected_correlation(model, apply_confusion(model, [p_true])[0])
         assert recovered == pytest.approx(1.0, abs=1e-10)
 
     def test_nan_rejected(self):
@@ -219,7 +219,7 @@ class TestCorrectReadout:
             f = rng.uniform(0.9, 1.0, size=4)
             model = ReadoutModel(*f)
             p = rng.dirichlet(np.ones(4))
-            recovered = corrected_correlation(model, apply_confusion(model, p))
+            recovered = corrected_correlation(model, apply_confusion(model, [p])[0])
             assert recovered == pytest.approx(outcome_correlation(p), abs=1e-10)
 
 
@@ -402,7 +402,7 @@ class TestRunExperiment:
         model = ReadoutModel(0.95, 0.92, 0.96, 0.93)
         result = run_one(state, config, 10**6, seed=17, readout=model, correct=True)
         for i, (_, _, n, m) in enumerate(reference_settings(config)):
-            p_ideal = joint_probabilities(state, n, m)
+            p_ideal = joint_probabilities(state, [n], [m])[0]
             ideal = float(p_ideal[0] - p_ideal[1] - p_ideal[2] + p_ideal[3])
             combined = math.hypot(result.raw.c_sigma[0, i], result.corrected.c_sigma[0, i])
             assert abs(result.corrected.c[0, i] - ideal) < 4 * max(combined, 1e-6)
@@ -720,10 +720,10 @@ class TestStackedMatchesReference:
             c_corr, sigma_corr = estimate(counts, readout._gain)
             c_hat, sigma = estimate(counts, RAW_GAIN)
             for i in range(size):
-                row = joint_probabilities(state, n[i], m[i])
+                row = joint_probabilities(state, n[i : i + 1], m[i : i + 1])[0]
                 assert row.tobytes() == probs[i].tobytes()
                 assert row.tobytes() == reference_joint_probabilities(state, n[i], m[i]).tobytes()
-                row = apply_confusion(readout, probs[i])
+                row = apply_confusion(readout, probs[i : i + 1])[0]
                 assert row.tobytes() == reported[i].tobytes()
                 assert row.tobytes() == (readout.joint @ probs[i]).tobytes()
                 row = estimate(counts[i : i + 1], readout._gain)
@@ -813,10 +813,15 @@ class TestStackedMatchesReference:
         with pytest.raises(ValueError, match=r"phi must lie in \[0, pi\]"):
             run_experiments(state, adapted_config(state), [0.5, phi], 10, 0)
 
-    def test_single_call_shapes(self):
+    def test_single_rows_rejected(self):
+        # each stage takes the stack run_experiments passes it, one row or many
         state, readout = random_state(np.random.default_rng(3)), ReadoutModel()
-        assert joint_probabilities(state, [0, 0, 1], [1, 0, 0]).shape == (4,)
-        assert apply_confusion(readout, [0.25] * 4).shape == (4,)
+        with pytest.raises(ValueError, match="must be a stack of 3-vectors"):
+            joint_probabilities(state, [0, 0, 1], [1, 0, 0])
+        with pytest.raises(ValueError, match=r"expected an \(S, 4\) stack of probabilities"):
+            apply_confusion(readout, [0.25] * 4)
+        assert joint_probabilities(state, [[0, 0, 1]], [[1, 0, 0]]).shape == (1, 4)
+        assert apply_confusion(readout, [[0.25] * 4]).shape == (1, 4)
         assert joint_probabilities(state, np.eye(3), np.eye(3)).shape == (3, 4)
 
     def test_counts_read_only(self):

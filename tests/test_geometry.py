@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 
@@ -24,6 +25,7 @@ from leggettsim.geometry import (
     geometric_factor,
     pair_stacks,
 )
+from leggettsim.expsim import run_experiments
 from leggettsim.inequalities import KINDS
 from leggettsim.qstate import CorrelationTensor, correlation_tensor, werner
 
@@ -299,6 +301,36 @@ class TestSettingsConfigValidation:
     def test_pair_rejected(self, u, e_hat, index, message):
         with pytest.raises(ValueError, match=rf"^pairs\[{index}\]: {message}"):
             dataclasses.replace(canonical_i26(0.5), u=u, e_hat=e_hat)
+
+    def test_pair_off_sphere_between_angles(self):
+        # |u|, |e_hat| and u . e_hat each lie within their tolerance, but at
+        # phi = pi/2 the setting m has |m| = 1 + 1.485e-9, which the sampler
+        # would reject
+        s = 1.0 + 0.99e-9
+        e_hat = (s * np.array([1.0, 0.0, 0.99e-9]), s * np.array([0.0, 1.0, 0.99e-9]), Z)
+        message = r"^pairs\[0\]: m must be a unit vector, \|m\| = 1.00000000148"
+        with pytest.raises(ValueError, match=message):
+            SettingsConfig(
+                alice=(Z, X), u=(s * Z, s * Z, X), e_hat=e_hat, pairing=(0, 0, 1),
+                phi=math.pi / 2, kind=KINDS["i26"],
+            )
+
+    def test_accepted_pairs_sample_at_every_phi(self):
+        # pairs at the edges of the unit and orthogonality tolerances: each
+        # one the constructor accepts samples at every angle
+        phis = np.linspace(0.0, math.pi, 181).tolist()
+        scales, dots = (1.0 - 0.99e-9, 1.0, 1.0 + 0.99e-9), (-0.99e-9, 0.0, 0.99e-9)
+        accepted = rejected = 0
+        for s_u, s_e, dot in itertools.product(scales, scales, dots):
+            try:
+                config = one_pair(s_u * Z, s_e * np.array([1.0, 0.0, dot]), 0.0)
+            except ValueError as exc:
+                assert "m must be a unit vector" in str(exc)
+                rejected += 1
+                continue
+            run_experiments(werner(0.9), config, phis, 1, 0)
+            accepted += 1
+        assert accepted and rejected
 
     @pytest.mark.parametrize("entry", [1.0, True])
     def test_pairing_entry_not_int(self, entry):

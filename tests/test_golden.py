@@ -14,6 +14,8 @@ The corrected goldens are pinned once more with every field that depends
 on the corrected estimator removed (its values, sigmas, sigmas of
 violation, and a corrected sweep's verdict columns), so a change to that
 estimator moves only the full digests, the sweep's step-0 row included.
+None of them has a clip event, so the clip counts of a corrected
+simulation at V = 1 and phi = 10 degrees are pinned as numbers.
 A change that reorders a floating-point operation, alters seeding or
 touches the output format shows up here.  They were recorded with numpy
 2.4; numpy may change its Generator streams between releases, which would
@@ -90,6 +92,14 @@ VERIFY_SHA256 = {
     "i28": "e7578472bb8ad8182a828c30a99f56f4b11cc0306c0a7eed085915b8355c70ed",
 }
 REPORT_SHA256 = "8a80a20772db0d5887648a53e7699d895f08c8e0bb4373b6a675a62a091b1fa0"
+# at V = 1 and phi = 10 degrees R^-1 f leaves the probability simplex for
+# some settings; the corrected goldens above have no clip events
+CLIP_ARGS = (
+    "--visibility", "1", "--phi", "10", "--shots", "1000", "--seed", "3", "--correct",
+    "--f0-nuclear", "0.97", "--f1-nuclear", "0.95", "--f0-electron", "0.96",
+    "--f1-electron", "0.94",
+)
+CLIP_EVENTS = {"i26": 6, "i28": 7}
 
 
 def stdout_of(capsys, *argv) -> str:
@@ -181,6 +191,12 @@ def test_thresholds(capsys, tag):
 def test_verify(capsys, tag):
     digest = stdout_sha256(capsys, "verify", "--inequality", tag, *VERIFY_ARGS)
     assert digest == VERIFY_SHA256[tag]
+
+
+@pytest.mark.parametrize("tag", ["i26", "i28"])
+def test_clip_events(capsys, tag):
+    data = json.loads(stdout_of(capsys, "simulate", "--inequality", tag, *CLIP_ARGS))
+    assert data["clip_events"] == CLIP_EVENTS[tag]
 
 
 def test_report(capsys):

@@ -144,22 +144,22 @@ class TestCorrelation:
 
 class TestJointProbabilities:
     def test_singlet_zz(self):
-        p = joint_probabilities(bell_state("psi_minus"), Z, Z)
+        p = joint_probabilities(bell_state("psi_minus"), [Z], [Z])[0]
         assert np.allclose(p, [0.0, 0.5, 0.5, 0.0], atol=1e-12)
 
     def test_maximally_mixed(self):
-        p = joint_probabilities(werner(0.0), X, Y)
+        p = joint_probabilities(werner(0.0), [X], [Y])[0]
         assert np.allclose(p, 0.25, atol=1e-12)
 
     def test_werner_formula(self):
-        p = joint_probabilities(werner(0.8, "psi_minus"), Z, Z)
+        p = joint_probabilities(werner(0.8, "psi_minus"), [Z], [Z])[0]
         assert p[0] == pytest.approx(0.05, abs=1e-12)
 
     @given(st.floats(0, 1), unit_vectors(), unit_vectors())
     @settings(max_examples=50)
     def test_sum_and_correlation_consistency(self, v, n, m):
         state = werner(v, "phi_minus")
-        p = joint_probabilities(state, n, m)
+        p = joint_probabilities(state, [n], [m])[0]
         assert p.sum() == pytest.approx(1.0, abs=1e-12)
         signed = p[0] - p[1] - p[2] + p[3]
         assert signed == pytest.approx(correlation(state, n, m), abs=1e-12)
@@ -172,8 +172,13 @@ class TestStacked:
         rows[1] *= 1.0 + 10 * UNIT_TOL
         with pytest.raises(ValueError, match=r"\|n\| = 1.00000001"):
             qstate._check_unit_rows(rows, "n")
+        # the first bad row is named, whatever follows it
+        rows[2] *= 2.0
+        with pytest.raises(ValueError, match=r"\|n\| = 1.00000001$"):
+            qstate._check_unit_rows(rows, "n")
 
-    @pytest.mark.parametrize("shape", [(), (4,), (2, 2), (1, 2, 3)])
+    # a single 3-vector is not a stack either
+    @pytest.mark.parametrize("shape", [(), (4,), (2, 2), (1, 2, 3), (3,)])
     def test_unit_check_shapes(self, shape):
         with pytest.raises(ValueError, match="3-vector"):
             qstate._check_unit_rows(np.ones(shape), "n")
@@ -184,7 +189,7 @@ class TestStacked:
 
     def test_mismatched_stacks(self):
         with pytest.raises(ValueError, match="one shape"):
-            joint_probabilities(werner(0.5), np.array([X, Y]), Z)
+            joint_probabilities(werner(0.5), np.array([X, Y]), [Z])
 
 
 class TestNanRejected:
@@ -196,7 +201,7 @@ class TestNanRejected:
 
     def test_setting(self):
         with pytest.raises(ValueError):
-            joint_probabilities(werner(0.5), [np.nan, 0.0, 0.0], Z)
+            joint_probabilities(werner(0.5), [[np.nan, 0.0, 0.0]], [Z])
 
     def test_state(self):
         m = np.eye(4, dtype=complex) / 4
@@ -211,7 +216,7 @@ class TestNanRejected:
         nan = np.full(3, np.nan)
         state.__dict__["tensor"] = CorrelationTensor(t=np.eye(3), a=nan, b=nan)
         with pytest.raises(InvalidStateError, match="negative joint probability nan"):
-            joint_probabilities(state, Z, Z)
+            joint_probabilities(state, [Z], [Z])
 
 
 class TestStateValidation:
@@ -228,6 +233,42 @@ class TestStateValidation:
     def test_negative_eigenvalue_rejected(self):
         with pytest.raises(InvalidStateError):
             TwoQubitState(np.diag([0.7, 0.5, -0.1, -0.1]).astype(complex))
+
+    def test_hermitian_part_kept(self):
+        # an anti-Hermitian part within the tolerance would give each
+        # expectation value an imaginary part of up to 1.8e-12
+        m = werner(0.9).matrix.copy()
+        for i, j in ((0, 3), (3, 0), (1, 2), (2, 1)):
+            m[i, j] += 0.45e-12j
+        state = TwoQubitState(m)
+        assert same_bits(state.tensor, werner(0.9).tensor)
+        assert np.array_equal(state.matrix, werner(0.9).matrix)
+
+    def test_random_matrix_stored_hermitian(self):
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            noise = rng.uniform(-2e-13, 2e-13, size=(4, 4)) * (1.0 + 1j)
+            np.fill_diagonal(noise, 0.0)
+            m = random_state(rng).matrix + noise
+            state = TwoQubitState(m)
+            assert np.array_equal(state.matrix, state.matrix.conj().T)
+            assert np.array_equal(state.matrix, (m + m.conj().T) / 2)
+
+    @pytest.mark.parametrize("base", list(qstate._BELL_VECTORS))
+    def test_werner_stored_bit_for_bit(self, base):
+        for v in (0.0, 0.37, 0.6, 0.98, 1.0):
+            rho = v * bell_state(base).matrix + (1.0 - v) * np.eye(4) / 4.0
+            assert werner(v, base).matrix.tobytes() == rho.tobytes()
+
+    def test_accepted_state_has_probabilities(self):
+        # V slightly above 1: the least eigenvalue (1 - V)/4 = -5e-11 lies
+        # within PSD_TOL, and so does P(+-) at (Z, Z), which is clipped
+        v = 1.0 + 2e-10
+        m = v * bell_state("phi_minus").matrix + (1.0 - v) * np.eye(4) / 4.0
+        state = TwoQubitState(m)
+        assert np.linalg.eigvalsh(state.matrix).min() >= -qstate.PSD_TOL
+        p = joint_probabilities(state, [Z], [Z])[0]
+        assert p.min() == 0.0 and p[1] == 0.0 and p[2] == 0.0
 
 
 
@@ -247,7 +288,7 @@ class TestTensorCache:
     @pytest.mark.parametrize("v", [0.0, 0.37, 0.98, 1.0])
     def test_stored_equals_rebuild_werner(self, v):
         state = werner(v)
-        joint_probabilities(state, Z, X)
+        joint_probabilities(state, [Z], [X])
         stored = state.tensor
         assert same_bits(stored, correlation_tensor(TwoQubitState(state.matrix)))
 
@@ -270,7 +311,7 @@ class TestTensorCache:
         monkeypatch.setattr(qstate, "correlation_tensor", counting)
         state = werner(0.9)
         for n, m in ((Z, Z), (X, Y), (Y, Z)):
-            joint_probabilities(state, n, m)
+            joint_probabilities(state, [n], [m])
             correlation(state, n, m)
         assert builds == [state]
 
