@@ -12,9 +12,10 @@ does not certify the inequality bound.
 
 The scan is pruned without changing its result: each pair term is at most
 2 - |v.(m - m')| for any u, so a v-column whose summed ceilings fall below
-the best cell found cannot hold the grid maximum or a tie with it.  Columns
-are visited by falling ceiling, in chunks that grow from one column to
-``_CHUNK``.  The grid size lies in [50, MAX_GRID_SIZE].
+the best cell found cannot hold the grid maximum or a tie with it.  The
+column of highest ceiling is evaluated first, and only the columns that
+reach its best cell are sorted.  The grid size is an int in [50,
+MAX_GRID_SIZE]; one grid, of the last size scanned, is kept read-only.
 
 The Malus-type marginal rule is the standard construction for this model
 class; the paper relegates it to supplementary material.
@@ -22,12 +23,14 @@ class; the paper relegates it to supplementary material.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import SettingsConfig, fibonacci_sphere
+from .qstate import _frozen
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,48 +89,63 @@ _CHUNK = 64
 MAX_GRID_SIZE = 10**5
 
 
+@functools.lru_cache(maxsize=1)
+def _grid(grid_size: int) -> np.ndarray:
+    """Read-only Fibonacci grid of u and v; one is kept, <= 2.4 MB at MAX_GRID_SIZE."""
+    return _frozen(fibonacci_sphere(grid_size))
+
+
 def _scan(config: SettingsConfig, grid_size: int):
-    """Grid maximum of the expression and its first (u, v) in row-major order.
+    """Grid maximum of the expression and copies of its first (u, v), row-major.
 
     Each pair term is at most 2 - |v.m - v.m'|, whatever u is, since
     |a - b| + |a - b'| >= |b - b'| and |a + b| + |a + b'| >= |b - b'|.  The
-    sum of these ceilings bounds every cell of a v-column, so the columns are
-    visited by falling ceiling, in chunks growing 1, 2, 4, ... up to _CHUNK,
-    and the scan stops before a chunk whose first ceiling is below the best
+    sum of these ceilings bounds every cell of a v-column.  The argmax column
+    is evaluated first; the columns reaching its best cell are then stably
+    sorted by falling ceiling and visited in chunks growing 2, 4, ... up to
+    _CHUNK, stopping before a chunk whose first ceiling is below the best
     cell found.  Every cell equal to the grid maximum lies in a visited
     column, so value and argmax equal those of the full grid.
     """
+    if isinstance(grid_size, bool) or not isinstance(grid_size, (int, np.integer)):
+        raise ValueError(f"grid_size must be an int, got {grid_size!r}")
     if grid_size < 50:
         raise ValueError(f"grid_size must be >= 50, got {grid_size}")
     if grid_size > MAX_GRID_SIZE:
         raise ValueError(f"grid_size must be <= {MAX_GRID_SIZE}, got {grid_size}")
-    grid = fibonacci_sphere(grid_size)
+    grid = _grid(int(grid_size))
     sine = config.kind.sine_coeff * math.sin(config.phi / 2.0)
+    alice = [(grid @ n)[:, None] for n in config.alice]
     projections = []
     ceiling = np.zeros(grid_size)
     for (m, m_prime), alice_idx in zip(config.pairs, config.pairing):
         m_b = grid @ m
         m_b_prime = grid @ m_prime
-        projections.append(((grid @ config.alice[alice_idx])[:, None], m_b, m_b_prime))
+        projections.append((alice[alice_idx], m_b, m_b_prime))
         ceiling += 2.0 - np.abs(m_b - m_b_prime)
     ceiling += sine + _SLACK
-    order = np.argsort(-ceiling, kind="stable")
-    best, best_flat = -math.inf, 0
-    start, width = 0, 1
-    while start < grid_size and ceiling[order[start]] >= best:
-        cols = np.sort(order[start:start + width])
+
+    def best_cell(cols):
         total = np.zeros((grid_size, cols.size))
         for m_a, m_b, m_b_prime in projections:
             total += pair_term_max(m_a, m_b[None, cols], m_b_prime[None, cols])
         total += sine
         row, col = divmod(int(np.argmax(total)), cols.size)
-        value, flat = float(total[row, col]), row * grid_size + int(cols[col])
+        return float(total[row, col]), row * grid_size + int(cols[col])
+
+    best, best_flat = best_cell(np.array([np.argmax(ceiling)]))
+    candidates = np.flatnonzero(ceiling >= best)
+    # order[0] is the argmax column, already evaluated
+    order = candidates[np.argsort(-ceiling[candidates], kind="stable")]
+    start, width = 1, min(2, _CHUNK)
+    while start < order.size and ceiling[order[start]] >= best:
+        value, flat = best_cell(np.sort(order[start:start + width]))
         # lowest row-major index among equal cells, as argmax over the full grid
         if value > best or (value == best and flat < best_flat):
             best, best_flat = value, flat
         start, width = start + width, min(2 * width, _CHUNK)
     ui, vi = divmod(best_flat, grid_size)
-    return best, grid[ui], grid[vi]
+    return best, grid[ui].copy(), grid[vi].copy()
 
 
 def verify_bound(config: SettingsConfig, grid_size: int = 500) -> BoundReport:
@@ -136,15 +154,14 @@ def verify_bound(config: SettingsConfig, grid_size: int = 500) -> BoundReport:
     The grid value is a lower bound on the hidden-variable supremum,
     approached from below as the grid is refined, so a non-negative margin
     is consistent with the bound but does not prove it.  A margin below
-    -1e-9 signals an implementation bug.  Columns of v whose per-pair
-    ceilings sum below the best cell are skipped; see ``_scan``.
+    -1e-9 signals an implementation bug.  See ``_scan`` for the pruning.
     """
     kind = config.kind
     value, u, v = _scan(config, grid_size)
     return BoundReport(
         kind=kind.tag,
         phi=config.phi,
-        grid_size=grid_size,
+        grid_size=int(grid_size),
         oracle_value=value,
         bound=kind.bound,
         margin=kind.bound - value,

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import tracemalloc
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import one_pair, unit_vectors
-from leggettsim import oracle
+from leggettsim import cli, oracle
 from leggettsim.geometry import (
     CANONICAL,
     Z,
@@ -200,6 +201,12 @@ class TestVerifyBound:
         assert len(data["argmax_u"]) == 3 and len(data["argmax_v"]) == 3
         assert data["margin"] == data["bound"] - data["oracle_value"]
 
+    def test_numpy_int_grid_size_reported_as_int(self):
+        report = verify_bound(canonical_i28(1.0), np.int64(100))
+        assert type(report.grid_size) is int
+        data = json.loads(json.dumps(report.to_json_dict()))
+        assert data == verify_bound(canonical_i28(1.0), 100).to_json_dict()
+
 
 class TestPerLambdaInequality:
     @pytest.mark.parametrize("tag,canonical", [("i26", canonical_i26), ("i28", canonical_i28)])
@@ -327,6 +334,13 @@ class TestPrunedScan:
     def test_random_config_matches_exhaustive(self, seed, grid_size):
         assert_scan_matches_exhaustive(random_config(seed), grid_size)
 
+    @pytest.mark.parametrize("deg", [0.01, 0.1])
+    @pytest.mark.parametrize("tag", ["i26", "i28"])
+    def test_small_angles_match_exhaustive_grid_500(self, tag, deg):
+        # many column ceilings nearly tie, so the stable sort of the columns
+        # that reach the first column's best cell decides the visiting order
+        assert_scan_matches_exhaustive(CANONICAL[tag](math.radians(deg)), 500)
+
     @pytest.mark.parametrize(
         "grid_size,deg,bisector,e_hat",
         [(64, 60.0, Y, -Z), (100, 90.0, -X, Z), (60, 180.0, -Y, -Z)],
@@ -358,6 +372,15 @@ class TestScanLimits:
             verify_bound(canonical_i26(1.0), oracle.MAX_GRID_SIZE + 1)
         with pytest.raises(ValueError):
             verify_bound(canonical_i26(1.0), 10**12)
+        assert grids == []
+
+    @pytest.mark.parametrize("grid_size", [2000.0, True, np.float64(100), "500"])
+    def test_non_int_grid_size_rejected_before_allocating(self, grid_size, monkeypatch):
+        grids = []
+        monkeypatch.setattr(oracle, "fibonacci_sphere", grids.append)
+        oracle._grid.cache_clear()
+        with pytest.raises(ValueError, match="grid_size must be an int"):
+            verify_bound(canonical_i26(1.0), grid_size)
         assert grids == []
 
     def test_peak_memory_bounded_at_grid_4000(self):
@@ -398,3 +421,49 @@ class TestScanLimits:
         assert term == pytest.approx(enumerated_pair_term_max(m_a, m_b, m_b_prime), abs=1e-14)
         # the column ceiling the pruned scan relies on
         assert term <= 2.0 - abs(m_b - m_b_prime) + 1e-12
+
+
+@pytest.fixture
+def grid_builds(monkeypatch):
+    """The sizes passed to fibonacci_sphere, with the grid cache emptied first."""
+    sizes = []
+
+    def counted(n):
+        sizes.append(n)
+        return fibonacci_sphere(n)
+
+    monkeypatch.setattr(oracle, "fibonacci_sphere", counted)
+    oracle._grid.cache_clear()
+    yield sizes
+    oracle._grid.cache_clear()
+
+
+class TestGridCache:
+    def test_one_build_per_grid_size(self, grid_builds):
+        verify_bound(canonical_i26(math.radians(36.87)), 2000)
+        verify_bound(canonical_i28(math.radians(44.42)), 2000)
+        assert grid_builds == [2000]
+
+    def test_one_grid_held(self, grid_builds):
+        config = canonical_i28(math.radians(44.42))
+        for grid_size in (2000, 4000, 2000):
+            verify_bound(config, grid_size)
+        assert grid_builds == [2000, 4000, 2000]
+
+    def test_cli_angles_share_one_grid(self, grid_builds, capsys):
+        argv = ["verify", "--inequality", "i26", "--phi", "10", "--phi", "20", "--grid-size", "300"]
+        assert cli.main(argv) == 0
+        assert len(json.loads(capsys.readouterr().out)) == 2
+        assert grid_builds == [300]
+
+    def test_report_vectors_are_copies(self, grid_builds):
+        config = canonical_i26(math.radians(36.87))
+        first = verify_bound(config, 300)
+        expected = first.argmax_u.copy(), first.argmax_v.copy()
+        first.argmax_u[:] = 0.0
+        first.argmax_v[:] = 0.0
+        second = verify_bound(config, 300)
+        assert grid_builds == [300]
+        assert np.array_equal(second.argmax_u, expected[0])
+        assert np.array_equal(second.argmax_v, expected[1])
+        assert not oracle._grid(300).flags.writeable
